@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from .exactnum import GF2Poly, PoleError, RatFunc
+from .exactnum import GF2Poly, PoleError, RatFunc, add_terms, zero_index
 from .deriv import Derivation, DiffOp, OpWord, compose, normalize
 from .genpoly import exponent_polynomial, expoly_degree, gp_degree_check, over_identity
 from .leibniz import MapTable, NotInO0Error, defect, nested_defect, order_exact
@@ -235,12 +235,12 @@ class _Parser:
             )
         return tuple(indices)
 
-    def opterm(self) -> tuple[RatFunc, tuple | None]:
+    def opterm(self) -> tuple[tuple, RatFunc]:
         sign = 1
         while self.accept("MINUS"):
             sign = -sign
         if self.peek().kind == "DOP":
-            return RatFunc.const(self.k, sign), self.d_atom()
+            return self.d_atom(), RatFunc.const(self.k, sign)
         coef = self.factor() * sign
         while True:
             if self.accept("STAR"):
@@ -251,7 +251,7 @@ class _Parser:
                         raise ExprSyntaxError(
                             "coefficient factors must precede d[...]", nxt.pos
                         )
-                    return coef, alpha
+                    return alpha, coef
                 coef = coef * self.factor()
             elif self.peek().kind == "SLASH":
                 pos = self.take("SLASH").pos
@@ -260,31 +260,18 @@ class _Parser:
                     raise ExprSyntaxError("division by the zero expression", pos)
                 coef = coef / divisor
             else:
-                return coef, None
+                return zero_index(self.k), coef
 
     def diffop(self) -> DiffOp:
-        coeffs: dict[tuple, RatFunc] = {}
-
-        def add(alpha, c):
-            if alpha in coeffs:
-                c = coeffs[alpha] + c
-            if c.is_zero:
-                coeffs.pop(alpha, None)
-            else:
-                coeffs[alpha] = c
-
-        coef, alpha = self.opterm()
-        add(alpha if alpha is not None else (0,) * self.k, coef)
+        terms = [self.opterm()]
         while True:
             if self.accept("PLUS"):
-                coef, alpha = self.opterm()
-                add(alpha if alpha is not None else (0,) * self.k, coef)
-            elif self.peek().kind == "MINUS":
-                self.take("MINUS")
-                coef, alpha = self.opterm()
-                add(alpha if alpha is not None else (0,) * self.k, -coef)
+                terms.append(self.opterm())
+            elif self.accept("MINUS"):
+                alpha, coef = self.opterm()
+                terms.append((alpha, -coef))
             else:
-                return DiffOp(self.k, coeffs)
+                return DiffOp(self.k, add_terms({}, terms))
 
     # -- derivations and words ------------------------------------------------------
 
@@ -354,12 +341,22 @@ def parse_word(text: str, k: int) -> OpWord:
 # ---------------------------------------------------------------------------
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that rejects a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ExprSyntaxError(f"duplicate JSON key {key!r}", 0)
+        out[key] = value
+    return out
+
+
 def _load_json_arg(raw: str):
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
             raw = fh.read()
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ExprSyntaxError(f"invalid JSON: {exc.msg}", exc.pos)
 
@@ -659,12 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def with_op(p):
-        p.add_argument("--op", help="operator literal")
-        p.add_argument("--word", help="composition word of derivation literals")
-        return p
+        """Add the mutually exclusive operator flags; returns their group."""
+        ops = p.add_mutually_exclusive_group()
+        ops.add_argument("--op", help="operator literal")
+        ops.add_argument("--word", help="composition word of derivation literals")
+        return ops
 
-    p = with_op(with_k(sub.add_parser("apply", help="apply an operator or derivation")))
-    p.add_argument("--deriv", help="derivation literal")
+    p = with_k(sub.add_parser("apply", help="apply an operator or derivation"))
+    with_op(p).add_argument("--deriv", help="derivation literal")
     p.add_argument("--expr", required=True)
     p.set_defaults(fn=_cmd_apply)
 
@@ -677,21 +676,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op2", required=True)
     p.set_defaults(fn=_cmd_compose)
 
-    p = with_op(with_k(sub.add_parser("order", help="exact order of an operator")))
+    p = with_k(sub.add_parser("order", help="exact order of an operator"))
+    with_op(p)
     p.set_defaults(fn=_cmd_order)
 
-    p = with_op(with_k(sub.add_parser("defect", help="(nested) product-rule defect")))
+    p = with_k(sub.add_parser("defect", help="(nested) product-rule defect"))
+    with_op(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", action="append", required=True, help="repeat to nest")
     p.set_defaults(fn=_cmd_defect)
 
-    p = with_op(with_k(sub.add_parser("gpdeg", help="sampled degree check for E/j")))
+    p = with_k(sub.add_parser("gpdeg", help="sampled degree check for E/j"))
+    with_op(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--increment", action="append", help="expression; repeatable")
     p.add_argument("--point", action="append", help="expression; repeatable")
     p.set_defaults(fn=_cmd_gpdeg)
 
-    p = with_op(with_k(sub.add_parser("expoly", help="exponent polynomial of an operator")))
+    p = with_k(sub.add_parser("expoly", help="exponent polynomial of an operator"))
+    with_op(p)
     p.set_defaults(fn=_cmd_expoly)
 
     p = sub.add_parser("reconstruct", help="rebuild an operator from grid values")

@@ -13,26 +13,20 @@ largest |a| carrying a nonzero coefficient; the zero operator has degree -1.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .exactnum import DimensionMismatchError, MultiPoly, Monomial, RatFunc, grlex_key
-
-
-def _check_same_k(a, b):
-    if a.k != b.k:
-        raise DimensionMismatchError(f"mixed variable counts: {a.k} vs {b.k}")
-
-
-def _as_ratfunc(k: int, value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        if value.k != k:
-            raise DimensionMismatchError(f"mixed variable counts: {k} vs {value.k}")
-        return value
-    if isinstance(value, MultiPoly):
-        if value.k != k:
-            raise DimensionMismatchError(f"mixed variable counts: {k} vs {value.k}")
-        return RatFunc.from_poly(value)
-    return RatFunc.const(k, value)
+from .exactnum import (
+    Monomial,
+    MultiPoly,
+    RatFunc,
+    RatFuncTerms,
+    add_terms,
+    as_ratfunc,
+    check_k,
+    mono_set,
+    unit_index,
+    zero_index,
+)
 
 
 class Derivation:
@@ -45,7 +39,7 @@ class Derivation:
         if not images:
             raise ValueError("a derivation needs at least one generator image")
         k = len(images)
-        object.__setattr__(self, "images", tuple(_as_ratfunc(k, g) for g in images))
+        object.__setattr__(self, "images", tuple(as_ratfunc(k, g) for g in images))
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
@@ -74,13 +68,9 @@ class Derivation:
 
     def as_diffop(self) -> "DiffOp":
         """The same map written as a first-order canonical operator."""
-        k = self.k
-        coeffs = {}
-        for i, g in enumerate(self.images):
-            if not g.is_zero:
-                alpha = tuple(1 if j == i else 0 for j in range(k))
-                coeffs[alpha] = g
-        return DiffOp(k, coeffs)
+        return DiffOp._raw(
+            self.k, {unit_index(self.k, i): g for i, g in enumerate(self.images) if g}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -97,99 +87,39 @@ class Derivation:
         return f"Derivation({str(self)!r})"
 
 
-class DiffOp:
+class DiffOp(RatFuncTerms):
     """Canonical differential operator: finite sum of c_a * d^a."""
 
-    __slots__ = ("k", "coeffs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, k: int, coeffs: Mapping[Monomial, RatFunc] | None = None):
-        clean: dict[Monomial, RatFunc] = {}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                alpha = tuple(alpha)
-                if len(alpha) != k or any(e < 0 for e in alpha):
-                    raise ValueError(f"bad multi-index {alpha} for k={k}")
-                c = _as_ratfunc(k, c)
-                if not c.is_zero:
-                    clean[alpha] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
+    @property
+    def coeffs(self) -> dict[Monomial, RatFunc]:
+        """The term map a -> c_a (read-only by convention)."""
+        return self.terms
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
-
-    @classmethod
-    def _raw(cls, k: int, coeffs: dict) -> "DiffOp":
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    @classmethod
-    def zero(cls, k: int) -> "DiffOp":
-        return cls._raw(k, {})
+    sorted_coeffs = RatFuncTerms.sorted_terms
 
     @classmethod
     def identity(cls, k: int, coef=1) -> "DiffOp":
-        c = _as_ratfunc(k, coef)
-        return cls._raw(k, {(0,) * k: c} if not c.is_zero else {})
+        c = as_ratfunc(k, coef)
+        return cls._raw(k, {zero_index(k): c} if c else {})
 
     @classmethod
     def partial(cls, k: int, index: int) -> "DiffOp":
         """The operator d/dt_index."""
-        alpha = tuple(1 if i == index else 0 for i in range(k))
-        return cls._raw(k, {alpha: RatFunc.one(k)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(a) for a in self.coeffs)
+        return cls._raw(k, {unit_index(k, index): RatFunc.one(k)})
 
     @property
     def in_o0(self) -> bool:
         """True when the identity component is absent, i.e. the operator
         annihilates constants."""
-        return (0,) * self.k not in self.coeffs
+        return zero_index(self.k) not in self.terms
 
-    def sorted_coeffs(self) -> list[tuple[Monomial, RatFunc]]:
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        _check_same_k(self, other)
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            s = out.get(alpha)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return DiffOp._raw(self.k, out)
-
-    def __neg__(self):
-        return DiffOp._raw(self.k, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "DiffOp":
-        c = _as_ratfunc(self.k, c)
-        if c.is_zero:
-            return DiffOp.zero(self.k)
-        return DiffOp._raw(self.k, {a: co * c for a, co in self.coeffs.items()})
+    def _term_str(self, alpha: Monomial, c: RatFunc) -> str:
+        if not any(alpha):
+            return f"({c})"
+        body = f"d[{','.join(map(str, alpha))}]"
+        return body if c == 1 else f"({c}) * {body}"
 
     # -- action and composition ----------------------------------------------
 
@@ -198,34 +128,6 @@ class DiffOp:
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         return compose(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.k == other.k and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, frozenset(self.coeffs.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for alpha, c in self.sorted_coeffs():
-            if sum(alpha) == 0:
-                parts.append(f"({c})")
-            elif c == 1:
-                parts.append(f"d[{','.join(map(str, alpha))}]")
-            else:
-                parts.append(f"({c}) * d[{','.join(map(str, alpha))}]")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"DiffOp(k={self.k}, {str(self)!r})"
 
 
 class OpWord:
@@ -240,15 +142,12 @@ class OpWord:
     def __init__(self, k: int, words: Iterable[tuple] = ()):
         terms = []
         for coef, word in words:
-            coef = _as_ratfunc(k, coef)
+            coef = as_ratfunc(k, coef)
             word = tuple(word)
             for d in word:
                 if not isinstance(d, Derivation):
                     raise TypeError("word entries must be Derivation values")
-                if d.k != k:
-                    raise DimensionMismatchError(
-                        f"mixed variable counts: {k} vs {d.k}"
-                    )
+                check_k(k, d.k)
             if not coef.is_zero:
                 terms.append((coef, word))
         object.__setattr__(self, "k", k)
@@ -267,7 +166,7 @@ class OpWord:
     def __add__(self, other):
         if not isinstance(other, OpWord):
             return NotImplemented
-        _check_same_k(self, other)
+        check_k(self.k, other.k)
         return OpWord(self.k, list(self.words) + list(other.words))
 
     def apply(self, f: RatFunc) -> RatFunc:
@@ -299,7 +198,7 @@ class OpWord:
 
 def apply_derivation(d: Derivation, f: RatFunc) -> RatFunc:
     """d(f) = sum_i d(t_i) * df/dt_i; additive and Leibniz by construction."""
-    _check_same_k(d, f)
+    check_k(d.k, f.k)
     total = RatFunc.zero(f.k)
     for i, g in enumerate(d.images):
         if not g.is_zero:
@@ -308,25 +207,29 @@ def apply_derivation(d: Derivation, f: RatFunc) -> RatFunc:
 
 
 def _materialize_partial(cache: dict, alpha: Monomial) -> RatFunc:
-    """Iterated partial derivative of cache[(0,..,0)], memoized per call."""
-    got = cache.get(alpha)
-    if got is not None:
-        return got
-    i = next(j for j, e in enumerate(alpha) if e)
-    prev = list(alpha)
-    prev[i] -= 1
-    base = _materialize_partial(cache, tuple(prev))
-    value = base.partial(i)
-    cache[alpha] = value
+    """Iterated partial derivative d^alpha of cache[(0,..,0)], memoized in
+    `cache`.  Walks down to the nearest cached index (lowering the first
+    nonzero exponent each step), then derives back up; once a value is zero
+    every higher derivative is zero as well."""
+    chain = []
+    while alpha not in cache:
+        i = next(j for j, e in enumerate(alpha) if e)
+        chain.append((alpha, i))
+        alpha = mono_set(alpha, i, alpha[i] - 1)
+    value = cache[alpha]
+    for alpha, i in reversed(chain):
+        if value:
+            value = value.partial(i)
+        cache[alpha] = value
     return value
 
 
 def apply_diffop(E: DiffOp, f: RatFunc) -> RatFunc:
     """sum_a c_a * d^a f, computed termwise with shared derivative chains."""
-    _check_same_k(E, f)
+    check_k(E.k, f.k)
     if not E.coeffs:
         return RatFunc.zero(f.k)
-    cache: dict[Monomial, RatFunc] = {(0,) * E.k: f}
+    cache: dict[Monomial, RatFunc] = {zero_index(E.k): f}
     total = RatFunc.zero(f.k)
     for alpha, c in E.coeffs.items():
         total = total + c * _materialize_partial(cache, alpha)
@@ -337,22 +240,9 @@ def _compose_partial(index: int, E: DiffOp) -> DiffOp:
     """d_index composed with E: commute the derivative past each coefficient,
     d_i (c d^b) = (d_i c) d^b + c d^(b + e_i)."""
     out: dict[Monomial, RatFunc] = {}
-
-    def accumulate(alpha, c):
-        s = out.get(alpha)
-        s = c if s is None else s + c
-        if s.is_zero:
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-
     for beta, c in E.coeffs.items():
-        dc = c.partial(index)
-        if not dc.is_zero:
-            accumulate(beta, dc)
-        up = list(beta)
-        up[index] += 1
-        accumulate(tuple(up), c)
+        up = mono_set(beta, index, beta[index] + 1)
+        add_terms(out, ((beta, c.partial(index)), (up, c)))
     return DiffOp._raw(E.k, out)
 
 
@@ -362,7 +252,7 @@ def compose(E1: DiffOp, E2: DiffOp) -> DiffOp:
     Over Q(t1..tk) the degree of a composition of nonzero operators is the
     sum of the degrees (top-order parts multiply in an integral domain).
     """
-    _check_same_k(E1, E2)
+    check_k(E1.k, E2.k)
     result = DiffOp.zero(E1.k)
     for alpha, c in E1.coeffs.items():
         acc = E2

@@ -4,7 +4,15 @@ rational function field Q(t1, ..., tk).
 Representation choices:
 
 * Rationals are ``fractions.Fraction`` (always reduced, denominator >= 1).
-* A monomial is a tuple of k nonnegative integer exponents.
+* A monomial (multi-index) is a tuple of k nonnegative integer exponents.
+  This module is the single owner of that format and of the term maps keyed
+  by it: ``zero_index``, ``unit_index`` and ``mono_set`` build and edit
+  multi-indices, ``mono_str`` prints one, ``add_terms`` accumulates
+  (index, coefficient) pairs into a term map and drops zero sums,
+  ``check_k`` and ``as_ratfunc`` guard and coerce operands, and
+  ``RatFuncTerms`` is the shared core of term maps with coefficients in
+  Q(t1..tk) (``DiffOp`` and ``ExpPoly``).  Other modules call these instead
+  of building tuples or accumulate loops themselves.
 * ``MultiPoly`` maps monomials to nonzero exact rational coefficients; the
   zero polynomial has an empty term map.  Integral coefficients are stored
   as plain int (hash- and equality-compatible with Fraction, and much
@@ -42,6 +50,56 @@ class PoleError(ZeroDivisionError):
 def grlex_key(mono: Monomial):
     """Sort key realizing the graded-lexicographic order."""
     return (sum(mono), mono)
+
+
+def zero_index(k: int) -> Monomial:
+    """The multi-index (0, ..., 0)."""
+    return (0,) * k
+
+
+def unit_index(k: int, i: int) -> Monomial:
+    """The multi-index with 1 in position i and 0 elsewhere."""
+    if not 0 <= i < k:
+        raise ValueError(f"variable index {i} out of range for k={k}")
+    return (0,) * i + (1,) + (0,) * (k - i - 1)
+
+
+def mono_set(mono: Monomial, i: int, e: int) -> Monomial:
+    """Copy of the multi-index with entry i replaced by e."""
+    m = list(mono)
+    m[i] = e
+    return tuple(m)
+
+
+def mono_str(mono: Monomial, letter: str) -> str:
+    """Product of powers such as ``t1^2*t3``; empty for the zero index."""
+    return "*".join(
+        f"{letter}{i + 1}^{e}" if e > 1 else f"{letter}{i + 1}"
+        for i, e in enumerate(mono)
+        if e
+    )
+
+
+def add_terms(out: dict, items: Iterable) -> dict:
+    """Add (index, coefficient) pairs into the term map `out` in place,
+    dropping entries whose sum is zero; returns `out`.  Works for any
+    coefficient type whose truth value means "nonzero" (rationals and
+    RatFunc alike)."""
+    for key, c in items:
+        s = out.get(key)
+        if s is not None:
+            c = s + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def check_k(a: int, b: int) -> None:
+    """Raise DimensionMismatchError unless two variable counts agree."""
+    if a != b:
+        raise DimensionMismatchError(f"mixed variable counts: {a} vs {b}")
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -135,10 +193,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, k: int, index: int) -> "MultiPoly":
-        if not 0 <= index < k:
-            raise ValueError(f"variable index {index} out of range for k={k}")
-        mono = tuple(1 if i == index else 0 for i in range(k))
-        return cls._raw(k, {mono: 1})
+        return cls._raw(k, {unit_index(k, index): 1})
 
     @classmethod
     def monomial(cls, k: int, exponents: Sequence[int], coef=1) -> "MultiPoly":
@@ -188,26 +243,13 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_k(self, other: "MultiPoly"):
-        if self.k != other.k:
-            raise DimensionMismatchError(
-                f"mixed variable counts: {self.k} vs {other.k}"
-            )
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.k, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_k(other)
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            s = out.get(mono, 0) + coef
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return MultiPoly._raw(self.k, out)
+        check_k(self.k, other.k)
+        return MultiPoly._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -229,7 +271,7 @@ class MultiPoly:
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_k(other)
+        check_k(self.k, other.k)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.k)
         # iterate over the smaller operand outside
@@ -284,19 +326,15 @@ class MultiPoly:
 
     def partial(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to variable `var`."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            e = mono[var]
-            if e:
-                m = list(mono)
-                m[var] = e - 1
-                key = tuple(m)
-                s = out.get(key, 0) + coef * e
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return MultiPoly._raw(self.k, out)
+        # lowering one exponent is injective, so no two terms collide
+        return MultiPoly._raw(
+            self.k,
+            {
+                mono_set(m, var, m[var] - 1): c * m[var]
+                for m, c in self.terms.items()
+                if m[var]
+            },
+        )
 
     def __call__(self, point: Sequence) -> Fraction:
         if len(point) != self.k:
@@ -317,7 +355,7 @@ class MultiPoly:
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError when not divisible."""
-        self._check_k(divisor)
+        check_k(self.k, divisor.k)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
@@ -342,13 +380,7 @@ class MultiPoly:
             qm = _mono_div(mono, dm)
             qc = _coeff_div(rem[mono], dc)
             quot[qm] = qc
-            for m, c in divisor.terms.items():
-                key = _mono_mul(m, qm)
-                s = rem.get(key, 0) - c * qc
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
+            add_terms(rem, ((_mono_mul(m, qm), -c * qc) for m, c in divisor.terms.items()))
         return MultiPoly._raw(self.k, quot)
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -404,11 +436,7 @@ class MultiPoly:
             return "0"
         chunks: list[str] = []
         for mono, coef in self.sorted_terms():
-            body = "*".join(
-                f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}"
-                for i, e in enumerate(mono)
-                if e
-            )
+            body = mono_str(mono, "t")
             mag = abs(coef)
             if not body:
                 text = str(mag)
@@ -432,7 +460,8 @@ class MultiPoly:
 #
 # Strategy: recursive content/primitive-part reduction on the lowest variable
 # present, with the primitive parts handled by a subresultant polynomial
-# remainder sequence.  Monomial and single-variable inputs take fast paths.
+# remainder sequence.  Monomial inputs take a fast path, and a heuristic
+# evaluation gcd is tried before the remainder sequence.
 
 
 def _vars_present(p: MultiPoly) -> set[int]:
@@ -449,10 +478,7 @@ def _coeffs_wrt(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
     (with the v-exponent zeroed in the coefficient's monomials)."""
     slices: dict[int, dict[Monomial, Fraction]] = {}
     for mono, coef in p.terms.items():
-        e = mono[v]
-        m = list(mono)
-        m[v] = 0
-        slices.setdefault(e, {})[tuple(m)] = coef
+        slices.setdefault(mono[v], {})[mono_set(mono, v, 0)] = coef
     return {e: MultiPoly._raw(p.k, t) for e, t in slices.items()}
 
 
@@ -464,9 +490,7 @@ def _lead_wrt(p: MultiPoly, v: int) -> MultiPoly:
 
 def _shift_var(p: MultiPoly, v: int, e: int) -> MultiPoly:
     """Multiply by the monomial v^e."""
-    mono = [0] * p.k
-    mono[v] = e
-    return p.mul_monomial(tuple(mono))
+    return p.mul_monomial(mono_set(zero_index(p.k), v, e))
 
 
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -494,40 +518,6 @@ def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
     return g
 
 
-def _gcd_univariate(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
-    """Monic Euclid for inputs involving only variable v."""
-
-    def dense(p: MultiPoly) -> list[Fraction]:
-        out = [Fraction(0)] * (p.degree_in(v) + 1)
-        for mono, coef in p.terms.items():
-            out[mono[v]] = Fraction(coef)
-        return out
-
-    fa, fb = dense(a), dense(b)
-    while fb:
-        lead = fb[-1]
-        fb = [c / lead for c in fb]
-        # remainder of fa by monic fb
-        fa = fa[:]
-        while len(fa) >= len(fb):
-            factor = fa[-1]
-            if factor:
-                off = len(fa) - len(fb)
-                for i, c in enumerate(fb):
-                    fa[off + i] -= factor * c
-            fa.pop()
-        while fa and not fa[-1]:
-            fa.pop()
-        fa, fb = fb, fa
-    mono = [0] * a.k
-    terms = {}
-    for e, c in enumerate(fa):
-        if c:
-            mono[v] = e
-            terms[tuple(mono)] = c
-    return MultiPoly._raw(a.k, terms).primitive()
-
-
 def _poly_height(p: MultiPoly) -> int:
     h = 0
     for c in p.terms.values():
@@ -542,22 +532,10 @@ def _eval_var(p: MultiPoly, v: int, xi: int) -> MultiPoly:
     powers = [1] * (p.degree_in(v) + 1)
     for e in range(1, len(powers)):
         powers[e] = powers[e - 1] * xi
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
-        e = mono[v]
-        if e:
-            m = list(mono)
-            m[v] = 0
-            key = tuple(m)
-            c = c * powers[e]
-        else:
-            key = mono
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return MultiPoly._raw(p.k, out)
+    return MultiPoly._raw(
+        p.k,
+        add_terms({}, ((mono_set(m, v, 0), c * powers[m[v]]) for m, c in p.terms.items())),
+    )
 
 
 def _interpolate_var(g: MultiPoly, v: int, xi: int) -> MultiPoly:
@@ -573,9 +551,7 @@ def _interpolate_var(g: MultiPoly, v: int, xi: int) -> MultiPoly:
             if digit > half:
                 digit -= xi
             if digit:
-                m = list(mono)
-                m[v] = e
-                terms[tuple(m)] = digit
+                terms[mono_set(mono, v, e)] = digit
             rest = (c - digit) // xi
             if rest:
                 nxt[mono] = rest
@@ -652,8 +628,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
     gcd(0, b) is the normalized b; gcd of two nonzero constants is 1.
     """
-    if a.k != b.k:
-        raise DimensionMismatchError(f"mixed variable counts: {a.k} vs {b.k}")
+    check_k(a.k, b.k)
     if a.is_zero:
         return b.primitive()
     if b.is_zero:
@@ -682,10 +657,7 @@ def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Remainder-sequence gcd route: content/primitive-part recursion on the
     lowest variable present, subresultant sequence on the primitive parts.
     Inputs must be nonzero, non-constant, non-monomial."""
-    used = _vars_present(a) | _vars_present(b)
-    if len(used) == 1:
-        return _gcd_univariate(a, b, used.pop())
-    v = min(used)
+    v = min(_vars_present(a) | _vars_present(b))
     da, db = a.degree_in(v), b.degree_in(v)
     if db == 0:
         return poly_gcd(_content_wrt(a, v), b)
@@ -712,30 +684,19 @@ class RatFunc:
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
             den = MultiPoly.const(num.k, 1)
-        if num.k != den.k:
-            raise DimensionMismatchError(f"mixed variable counts: {num.k} vs {den.k}")
+        check_k(num.k, den.k)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             num = MultiPoly.zero(num.k)
             den = MultiPoly.const(num.k, 1)
-        elif den.is_constant:
-            num = num.scale(1 / den.constant_value())
-            den = MultiPoly.const(num.k, 1)
         else:
-            g = poly_gcd(num, den)
-            if not (g.is_constant and g.constant_value() == 1):
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if den.is_constant:
-                num = num.scale(1 / den.constant_value())
-                den = MultiPoly.const(num.k, 1)
-            else:
-                _, lead = den.leading_term()
-                if lead != 1:
-                    inv = Fraction(1) / lead
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+            if not den.is_constant:
+                g = poly_gcd(num, den)
+                if not g.is_constant:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            num, den = _monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -800,16 +761,8 @@ class RatFunc:
     # -- field operations ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.k, other)
-        if isinstance(other, MultiPoly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, RatFunc):
-            if other.k != self.k:
-                raise DimensionMismatchError(
-                    f"mixed variable counts: {self.k} vs {other.k}"
-                )
-            return other
+        if isinstance(other, (int, Fraction, MultiPoly, RatFunc)):
+            return as_ratfunc(self.k, other)
         return None
 
     def __add__(self, other):
@@ -846,12 +799,7 @@ class RatFunc:
         else:
             num = t.exact_div(g2)
             den = self.den.exact_div(g2) * d2r
-        _, lead = den.leading_term()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic(num, den))
 
     __radd__ = __add__
 
@@ -886,29 +834,14 @@ class RatFunc:
         d2 = other.den if g1 == 1 else other.den.exact_div(g1)
         n2 = other.num if g2 == 1 else other.num.exact_div(g2)
         d1 = self.den if g2 == 1 else self.den.exact_div(g2)
-        num = n1 * n2
-        den = d1 * d2
-        if den.is_constant:
-            return RatFunc._raw(num.scale(1 / den.constant_value()), MultiPoly.const(self.k, 1))
-        _, lead = den.leading_term()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic(n1 * n2, d1 * d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        num, den = self.den, self.num
-        _, lead = den.leading_term()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_monic(self.den, self.num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -988,6 +921,124 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc(k={self.k}, {str(self)!r})"
+
+
+def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Scale num/den so that den (nonzero) is monic in graded-lex order; a
+    constant den becomes 1."""
+    _, lead = den.leading_term()
+    if lead != 1:
+        inv = Fraction(1) / lead
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
+
+
+def as_ratfunc(k: int, value) -> RatFunc:
+    """Coerce a rational, MultiPoly or RatFunc to a RatFunc over k variables."""
+    if isinstance(value, RatFunc):
+        check_k(k, value.k)
+        return value
+    if isinstance(value, MultiPoly):
+        check_k(k, value.k)
+        return RatFunc.from_poly(value)
+    return RatFunc.const(k, value)
+
+
+class RatFuncTerms:
+    """Shared core of a sparse map from multi-indices to nonzero RatFunc
+    coefficients over k variables: validation, immutability, linear
+    structure, equality and hashing.  Subclasses give the meaning of the
+    index and print a term through ``_term_str``.  Operations are
+    type-strict: values of two different subclasses never add or compare
+    equal."""
+
+    __slots__ = ("k", "terms", "_hash")
+
+    def __init__(self, k: int, terms: Mapping[Monomial, RatFunc] | None = None):
+        clean: dict[Monomial, RatFunc] = {}
+        if terms:
+            for alpha, c in terms.items():
+                alpha = tuple(alpha)
+                if len(alpha) != k or any(e < 0 for e in alpha):
+                    raise ValueError(f"bad multi-index {alpha} for k={k}")
+                c = as_ratfunc(k, c)
+                if c:
+                    clean[alpha] = c
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _raw(cls, k: int, terms: dict):
+        """Internal constructor; `terms` must already be canonical and owned."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
+    @classmethod
+    def zero(cls, k: int):
+        return cls._raw(k, {})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def degree(self) -> int:
+        """Largest |a| carrying a nonzero coefficient; -1 when empty."""
+        if not self.terms:
+            return -1
+        return max(sum(a) for a in self.terms)
+
+    def sorted_terms(self) -> list[tuple[Monomial, RatFunc]]:
+        """Terms in ascending graded-lex order of the index."""
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        check_k(self.k, other.k)
+        return self._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._raw(self.k, {a: -c for a, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_ratfunc(self.k, c)
+        if not c:
+            return self.zero(self.k)
+        return self._raw(self.k, {a: co * c for a, co in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and self.terms == other.terms
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.k, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_str(a, c) for a, c in self.sorted_terms())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k}, {str(self)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .exactnum import (
     DimensionMismatchError,
     Monomial,
     MultiPoly,
     RatFunc,
-    grlex_key,
+    RatFuncTerms,
+    _mono_mul,
+    add_terms,
+    check_k,
+    mono_set,
+    mono_str,
+    unit_index,
+    zero_index,
 )
 from .deriv import DiffOp
 
@@ -36,123 +43,38 @@ from .deriv import DiffOp
 SemigroupMap = Callable[[RatFunc], RatFunc]
 
 
-class ExpPoly:
+class ExpPoly(RatFuncTerms):
     """Polynomial in the integer exponent variables i1..ik with coefficients
     in Q(t1..tk)."""
 
-    __slots__ = ("k", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, k: int, terms: Mapping[Monomial, RatFunc] | None = None):
-        clean: dict[Monomial, RatFunc] = {}
-        if terms:
-            for beta, c in terms.items():
-                beta = tuple(beta)
-                if len(beta) != k or any(e < 0 for e in beta):
-                    raise ValueError(f"bad exponent index {beta} for k={k}")
-                if isinstance(c, (int, Fraction)):
-                    c = RatFunc.const(k, c)
-                elif isinstance(c, MultiPoly):
-                    c = RatFunc.from_poly(c)
-                if c.k != k:
-                    raise DimensionMismatchError(
-                        f"coefficient over k={c.k}, expected {k}"
-                    )
-                if not c.is_zero:
-                    clean[beta] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
-
-    @classmethod
-    def _raw(cls, k: int, terms: dict) -> "ExpPoly":
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    @classmethod
-    def zero(cls, k: int) -> "ExpPoly":
-        return cls._raw(k, {})
+    total_degree = RatFuncTerms.degree
 
     @classmethod
     def const(cls, k: int, c) -> "ExpPoly":
-        return cls(k, {(0,) * k: c})
+        return cls(k, {zero_index(k): c})
 
     @classmethod
     def linear(cls, coeffs: Sequence[RatFunc]) -> "ExpPoly":
         """sum_j coeffs[j] * i_j."""
         k = len(coeffs)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            beta = tuple(1 if m == j else 0 for m in range(k))
-            terms[beta] = c
-        return cls(k, terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(b) for b in self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        if self.k != other.k:
-            raise DimensionMismatchError(f"mixed counts: {self.k} vs {other.k}")
-        out = dict(self.terms)
-        for beta, c in other.terms.items():
-            s = out.get(beta)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(beta, None)
-            else:
-                out[beta] = s
-        return ExpPoly._raw(self.k, out)
-
-    def __neg__(self):
-        return ExpPoly._raw(self.k, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self + (-other)
+        return cls(k, {unit_index(k, j): c for j, c in enumerate(coeffs)})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        if self.k != other.k:
-            raise DimensionMismatchError(f"mixed counts: {self.k} vs {other.k}")
-        out: dict[Monomial, RatFunc] = {}
-        for ba, ca in self.terms.items():
-            for bb, cb in other.terms.items():
-                beta = tuple(x + y for x, y in zip(ba, bb))
-                c = ca * cb
-                s = out.get(beta)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(beta, None)
-                else:
-                    out[beta] = s
-        return ExpPoly._raw(self.k, out)
+        check_k(self.k, other.k)
+        products = (
+            (_mono_mul(ba, bb), ca * cb)
+            for ba, ca in self.terms.items()
+            for bb, cb in other.terms.items()
+        )
+        return ExpPoly._raw(self.k, add_terms({}, products))
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "ExpPoly":
-        if isinstance(c, (int, Fraction)):
-            c = RatFunc.const(self.k, c)
-        if c.is_zero:
-            return ExpPoly.zero(self.k)
-        return ExpPoly._raw(self.k, {b: co * c for b, co in self.terms.items()})
 
     def map_coeffs(self, fn: Callable[[RatFunc], RatFunc]) -> "ExpPoly":
         out = {}
@@ -178,38 +100,11 @@ class ExpPoly:
                 total = total + c * w
         return total
 
-    def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for beta, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
-            body = "*".join(
-                f"i{j + 1}^{e}" if e > 1 else f"i{j + 1}"
-                for j, e in enumerate(beta)
-                if e
-            )
-            if not body:
-                parts.append(f"({c})")
-            elif c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"({c})*{body}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ExpPoly(k={self.k}, {str(self)!r})"
+    def _term_str(self, beta: Monomial, c: RatFunc) -> str:
+        body = mono_str(beta, "i")
+        if not body:
+            return f"({c})"
+        return body if c == 1 else f"({c})*{body}"
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +198,8 @@ def falling_factorial_coeffs(m: int) -> list[Fraction]:
 
 def _falling_factorial_exppoly(k: int, var: int, m: int) -> ExpPoly:
     coeffs = falling_factorial_coeffs(m)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            beta = tuple(e if j == var else 0 for j in range(k))
-            terms[beta] = RatFunc.const(k, c)
-    return ExpPoly(k, terms)
+    zero = zero_index(k)
+    return ExpPoly(k, {mono_set(zero, var, e): c for e, c in enumerate(coeffs)})
 
 
 def over_identity(E: DiffOp) -> SemigroupMap:

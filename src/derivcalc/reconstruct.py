@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key
+from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key, zero_index
 from .deriv import DiffOp, _materialize_partial
 from .leibniz import MapTable
 
@@ -218,7 +218,7 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     rows: list[tuple[list[RatFunc], RatFunc, int]] = []
     for rowidx, (x, y) in enumerate(table):
         # evaluate all d^a(x) in one shared derivative chain
-        cache = {(0,) * k: x}
+        cache = {zero_index(k): x}
         coeffs_row = [_materialize_partial(cache, alpha) for alpha in indices]
         rows.append((coeffs_row, y, rowidx))
     solution = [RatFunc.zero(k) for _ in range(ncols)]

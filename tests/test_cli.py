@@ -355,6 +355,40 @@ def test_cli_env_seed_overrides_flag(capsys, monkeypatch):
     assert out1 == out2
 
 
+def test_cli_apply_very_high_order_partial(capsys):
+    # the derivative chain is long but ends in zero after four steps
+    code, out, _ = run_cli(
+        capsys, "apply", "--k", "1", "--op", "d[100000]", "--expr", "t1^3"
+    )
+    assert code == 0
+    assert out.strip() == "result: 0"
+
+
+def test_cli_op_and_word_are_exclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "order", "--k", "1", "--op", "d[1]", "--word", "(t1->1) o (t1->1)"
+    )
+    assert code == 2 and out == ""
+    assert "not allowed with" in err
+
+
+def test_cli_op_and_deriv_are_exclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "apply", "--k", "1", "--op", "d[1]", "--deriv", "t1 -> t1", "--expr", "t1"
+    )
+    assert code == 2 and out == ""
+    assert "not allowed with" in err
+
+
+def test_cli_duplicate_json_key_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "fit", "--k", "1", "--n", "1", "--require-o0", "--table", '{"t1":"1","t1":"5"}',
+    )
+    assert code == 2 and out == ""
+    assert "duplicate JSON key 't1'" in err
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "apply", "--k", "1", "--op", "d[2", "--expr", "t1")
     assert code == 2

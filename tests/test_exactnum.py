@@ -182,7 +182,8 @@ def test_heuristic_and_remainder_gcd_agree(a, b):
 
 
 def test_univariate_euclid_route_agrees():
-    from derivcalc.exactnum import _gcd_univariate
+    # univariate inputs take the remainder-sequence route with content 1
+    from derivcalc.exactnum import _prs_gcd
 
     rng_vals = [
         ((t() + 1) ** 2 * (t() - 2), (t() + 1) * (t() ** 2 + 1)),
@@ -190,7 +191,7 @@ def test_univariate_euclid_route_agrees():
         ((2 * t() + 1) * (t() - 3), (2 * t() + 1) * (t() + 3)),
     ]
     for a, b in rng_vals:
-        assert _gcd_univariate(a, b, 0) == poly_gcd(a, b)
+        assert _prs_gcd(a.primitive(), b.primitive()) == poly_gcd(a, b)
 
 
 def test_gcd_output_is_primitive_with_positive_lead():

@@ -3,8 +3,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from derivcalc.exactnum import MultiPoly, RatFunc
+from derivcalc.exactnum import MultiPoly, RatFunc, add_terms
 from derivcalc.deriv import Derivation, DiffOp, OpWord, apply_derivation, compose, normalize
 from derivcalc.genpoly import (
     ExpPoly,
@@ -204,3 +205,42 @@ def test_degree_bump_is_plus_one_on_random_data():
             continue
         a = [random_sparse_ratfunc(rng, k) for _ in range(k)]
         assert degree_bump(p, a) == expoly_degree(p) + 1
+
+
+# ---------------------------------------------------------------------------
+# Shared term-map core
+# ---------------------------------------------------------------------------
+
+K = 2
+indices = st.tuples(st.integers(0, 2), st.integers(0, 2))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+polys = st.dictionaries(indices, rationals, max_size=3).map(lambda d: MultiPoly(K, d))
+# denominators t^m + 1 are never zero and often not constant
+coeffs = st.tuples(polys, indices).map(
+    lambda p: RatFunc(p[0], MultiPoly.monomial(K, p[1]) + 1)
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.dictionaries(indices, rationals, max_size=4),
+    st.dictionaries(indices, coeffs, max_size=3),
+)
+def test_adding_the_negative_leaves_an_empty_term_map(qmap, fmap):
+    for x in (MultiPoly(K, qmap), DiffOp(K, fmap), ExpPoly(K, fmap)):
+        assert (x + (-x)).terms == {}
+        assert (x - x).is_zero
+        # add_terms drops zero sums for Q and for RatFunc coefficients
+        negated = ((m, -c) for m, c in x.terms.items())
+        assert add_terms(dict(x.terms), negated) == {}
+
+
+def test_diffop_and_exppoly_never_mix():
+    terms = {(1,): t}
+    E, p = DiffOp(1, terms), ExpPoly(1, terms)
+    assert E.terms == p.terms
+    assert E != p and p != E
+    with pytest.raises(TypeError):
+        E + p
+    with pytest.raises(TypeError):
+        p - E
