@@ -642,7 +642,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact calculus of derivations and differential operators "
         "over Q(t1..tk).",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    json_help = "machine-readable output"
+    parser.add_argument("--json", action="store_true", help=json_help)
     parser.add_argument(
         "--seed",
         type=int,
@@ -720,6 +721,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivations", help="word literal (theorem2)")
     p.set_defaults(fn=_cmd_demo)
 
+    # --json is accepted after the subcommand too; SUPPRESS keeps a
+    # subcommand that omits it from resetting the top-level flag
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=json_help)
     return parser
 
 

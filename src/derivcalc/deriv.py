@@ -97,8 +97,6 @@ class DiffOp(RatFuncTerms):
         """The term map a -> c_a (read-only by convention)."""
         return self.terms
 
-    sorted_coeffs = RatFuncTerms.sorted_terms
-
     @classmethod
     def identity(cls, k: int, coef=1) -> "DiffOp":
         c = as_ratfunc(k, coef)

@@ -9,10 +9,12 @@ Representation choices:
   by it: ``zero_index``, ``unit_index`` and ``mono_set`` build and edit
   multi-indices, ``mono_str`` prints one, ``add_terms`` accumulates
   (index, coefficient) pairs into a term map and drops zero sums,
-  ``check_k`` and ``as_ratfunc`` guard and coerce operands, and
-  ``RatFuncTerms`` is the shared core of term maps with coefficients in
-  Q(t1..tk) (``DiffOp`` and ``ExpPoly``).  Other modules call these instead
-  of building tuples or accumulate loops themselves.
+  ``check_k`` and ``as_ratfunc`` guard and coerce operands.  ``TermMap`` is
+  the one owner of the term-map class code (validation, immutability,
+  linear structure, equality, hashing and evaluation); ``MultiPoly`` and
+  ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
+  Q(t1..tk)) subclass it.  Other modules call these instead of building
+  tuples or accumulate loops themselves.
 * ``MultiPoly`` maps monomials to nonzero exact rational coefficients; the
   zero polynomial has an empty term map.  Integral coefficients are stored
   as plain int (hash- and equality-compatible with Fraction, and much
@@ -147,29 +149,48 @@ def _coeff_div(a, b):
     return _as_coeff(Fraction(a) / Fraction(b))
 
 
-class MultiPoly:
-    """Sparse polynomial in k variables with rational coefficients."""
+def _power(base, n: int, one):
+    """base**n (n >= 0) by square-and-multiply, starting from `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+class TermMap:
+    """Shared core of a sparse map from multi-indices of length k to nonzero
+    coefficients: validation, immutability, linear structure, equality,
+    hashing and evaluation.  A subclass coerces coefficients through
+    ``_coeff(k, c)`` and names its index in error messages through
+    ``_index_word``.  Operations are type-strict: values of two different
+    subclasses never add or compare equal."""
 
     __slots__ = ("k", "terms", "_hash")
 
-    def __init__(self, k: int, terms: Mapping[Monomial, Fraction] | None = None):
+    _index_word = "multi-index"
+
+    def __init__(self, k: int, terms: Mapping[Monomial, object] | None = None):
         if k < 0:
             raise ValueError("variable count must be nonnegative")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict = {}
         if terms:
-            for mono, coef in terms.items():
+            for mono, c in terms.items():
                 mono = tuple(mono)
                 if len(mono) != k or any(e < 0 for e in mono):
-                    raise ValueError(f"bad monomial {mono} for k={k}")
-                coef = _as_coeff(coef)
-                if coef:
-                    clean[mono] = coef
+                    raise ValueError(f"bad {self._index_word} {mono} for k={k}")
+                c = self._coeff(k, c)
+                if c:
+                    clean[mono] = c
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, k: int, terms: dict) -> "MultiPoly":
+    def _raw(cls, k: int, terms: dict):
         """Internal constructor; `terms` must already be canonical and owned."""
         self = object.__new__(cls)
         object.__setattr__(self, "k", k)
@@ -178,13 +199,79 @@ class MultiPoly:
         return self
 
     def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    # -- constructors -----------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, k: int) -> "MultiPoly":
+    def zero(cls, k: int):
         return cls._raw(k, {})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def degree(self) -> int:
+        """Largest |a| carrying a nonzero coefficient; -1 when empty."""
+        if not self.terms:
+            return -1
+        return max(sum(a) for a in self.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        check_k(self.k, other.k)
+        return self._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._raw(self.k, {a: -c for a, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and self.terms == other.terms
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.k, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k}, {str(self)!r})"
+
+    def _at(self, point: Sequence, zero):
+        """Sum of c * prod(v^e) over the terms, at a point of k values."""
+        if len(point) != self.k:
+            raise DimensionMismatchError(
+                f"point has {len(point)} entries, expected {self.k}"
+            )
+        total = zero
+        for mono, c in self.terms.items():
+            for e, v in zip(mono, point):
+                if e:
+                    c = c * v**e
+            total = total + c
+        return total
+
+
+class MultiPoly(TermMap):
+    """Sparse polynomial in k variables with rational coefficients."""
+
+    __slots__ = ()
+
+    _index_word = "monomial"
+
+    @staticmethod
+    def _coeff(k: int, c):
+        return _as_coeff(c)
+
+    # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, k: int, value) -> "MultiPoly":
@@ -202,10 +289,6 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0,) * self.k in self.terms)
 
@@ -218,11 +301,7 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(self.terms.get((0,) * self.k, 0))
 
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+    total_degree = TermMap.degree
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -246,22 +325,14 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.k, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        check_k(self.k, other.k)
-        return MultiPoly._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
+        return TermMap.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._raw(self.k, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.k, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return TermMap.__sub__(self, other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -313,14 +384,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a nonnegative integer")
-        result = MultiPoly.const(self.k, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, MultiPoly.const(self.k, 1))
 
     # -- calculus and evaluation --------------------------------------------
 
@@ -337,19 +401,7 @@ class MultiPoly:
         )
 
     def __call__(self, point: Sequence) -> Fraction:
-        if len(point) != self.k:
-            raise DimensionMismatchError(
-                f"point has {len(point)} entries, expected {self.k}"
-            )
-        vals = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for mono, coef in self.terms.items():
-            term = coef
-            for e, v in zip(mono, vals):
-                if e:
-                    term *= v**e
-            total += term
-        return Fraction(total)
+        return self._at([_as_fraction(v) for v in point], Fraction(0))
 
     # -- division ----------------------------------------------------------
 
@@ -417,16 +469,9 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+        return TermMap.__eq__(self, other)
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = TermMap.__hash__
 
     def __bool__(self):
         return bool(self.terms)
@@ -449,9 +494,6 @@ class MultiPoly:
             else:
                 chunks.append(f"+ {text}" if coef > 0 else f"- {text}")
         return " ".join(chunks)
-
-    def __repr__(self):
-        return f"MultiPoly(k={self.k}, {str(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +788,6 @@ class RatFunc:
         return self.num.is_zero
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant
-
-    @property
     def is_constant(self) -> bool:
         return self.num.is_constant and self.den.is_constant
 
@@ -880,9 +918,6 @@ class RatFunc:
         if dden.is_zero:
             return RatFunc(dnum, self.den)
         g = poly_gcd(self.den, dden)
-        if g.is_constant:
-            num = dnum * self.den - self.num * dden
-            return RatFunc(num, self.den * self.den)
         dg = self.den.exact_div(g)
         num = dnum * dg - self.num * dden.exact_div(g)
         return RatFunc(num, self.den * dg)
@@ -945,74 +980,18 @@ def as_ratfunc(k: int, value) -> RatFunc:
     return RatFunc.const(k, value)
 
 
-class RatFuncTerms:
-    """Shared core of a sparse map from multi-indices to nonzero RatFunc
-    coefficients over k variables: validation, immutability, linear
-    structure, equality and hashing.  Subclasses give the meaning of the
-    index and print a term through ``_term_str``.  Operations are
-    type-strict: values of two different subclasses never add or compare
-    equal."""
+class RatFuncTerms(TermMap):
+    """Term map with coefficients in Q(t1..tk), the core of ``DiffOp`` and
+    ``ExpPoly``.  Subclasses give the meaning of the index and print a term
+    through ``_term_str``."""
 
-    __slots__ = ("k", "terms", "_hash")
+    __slots__ = ()
 
-    def __init__(self, k: int, terms: Mapping[Monomial, RatFunc] | None = None):
-        clean: dict[Monomial, RatFunc] = {}
-        if terms:
-            for alpha, c in terms.items():
-                alpha = tuple(alpha)
-                if len(alpha) != k or any(e < 0 for e in alpha):
-                    raise ValueError(f"bad multi-index {alpha} for k={k}")
-                c = as_ratfunc(k, c)
-                if c:
-                    clean[alpha] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _raw(cls, k: int, terms: dict):
-        """Internal constructor; `terms` must already be canonical and owned."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    @classmethod
-    def zero(cls, k: int):
-        return cls._raw(k, {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Largest |a| carrying a nonzero coefficient; -1 when empty."""
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+    _coeff = staticmethod(as_ratfunc)
 
     def sorted_terms(self) -> list[tuple[Monomial, RatFunc]]:
         """Terms in ascending graded-lex order of the index."""
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        check_k(self.k, other.k)
-        return self._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return self._raw(self.k, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, c):
         c = as_ratfunc(self.k, c)
@@ -1020,25 +999,10 @@ class RatFuncTerms:
             return self.zero(self.k)
         return self._raw(self.k, {a: co * c for a, co in self.terms.items()})
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.k, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __str__(self):
         if not self.terms:
             return "0"
         return " + ".join(self._term_str(a, c) for a, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"{type(self).__name__}(k={self.k}, {str(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -1083,14 +1047,6 @@ class GF2Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("GF2Poly is immutable")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "GF2Poly":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits)
 
     @classmethod
     def monomial(cls, degree: int) -> "GF2Poly":
@@ -1153,14 +1109,7 @@ class GF2Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = GF2Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, GF2Poly.one())
 
     def formal_derivative(self) -> "GF2Poly":
         """Termwise derivative: x^i -> (i mod 2) x^(i-1)."""

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .exactnum import GF2Poly, MultiPoly, RatFunc
 from .deriv import Derivation, DiffOp, OpWord, normalize
 from .genpoly import exponent_polynomial, expoly_degree
-from .leibniz import defect, nested_defect
+from .leibniz import _Memo, defect, nested_defect
 from .sampling import DEFAULT_SEED, random_defect_tuple
 
 
@@ -75,8 +75,8 @@ def char2_order_check(
     """Exhaustive check over all F2[x] inputs of degree <= max_degree:
     additivity of D, vanishing of all 2-fold nested defects, and a search
     for a product-rule failure witnessing that D is not a derivation."""
-    if D is None:
-        D = char2_D
+    # one memo for the whole check: every nested defect reuses the values
+    D = _Memo(char2_D if D is None else D)
     elems = list(GF2Poly.all_up_to_degree(max_degree))
     additive_ok = all(D(x + y) == D(x) + D(y) for x in elems for y in elems)
     defects2 = True

@@ -38,6 +38,7 @@ from .exactnum import (
     zero_index,
 )
 from .deriv import DiffOp
+from .leibniz import CheckResult
 
 # A map defined on nonzero field elements, e.g. x -> E(x)/x for an operator.
 SemigroupMap = Callable[[RatFunc], RatFunc]
@@ -86,19 +87,7 @@ class ExpPoly(RatFuncTerms):
 
     def __call__(self, exponents: Sequence[int]) -> RatFunc:
         """Exact value at an integer exponent vector."""
-        if len(exponents) != self.k:
-            raise DimensionMismatchError(
-                f"point has {len(exponents)} entries, expected {self.k}"
-            )
-        total = RatFunc.zero(self.k)
-        for beta, c in self.terms.items():
-            w = 1
-            for b, i in zip(beta, exponents):
-                if b:
-                    w *= i**b
-            if w:
-                total = total + c * w
-        return total
+        return self._at(exponents, RatFunc.zero(self.k))
 
     def _term_str(self, beta: Monomial, c: RatFunc) -> str:
         body = mono_str(beta, "i")
@@ -145,7 +134,7 @@ def gp_degree_check(
     n: int,
     increments: Sequence[RatFunc],
     points: Sequence[RatFunc],
-) -> "CheckResult":
+) -> CheckResult:
     """Test whether f behaves like a polynomial of degree <= n on the sampled
     data: every (n+1)-fold iterated difference over the given increments must
     vanish at every given point.
@@ -155,8 +144,6 @@ def gp_degree_check(
     asks for the zero map.  Failure reports the witness (increments-tuple,
     point, value); passing is evidence on the data only.
     """
-    from .leibniz import CheckResult  # shared result shape
-
     if n < -1:
         raise ValueError("degree bound must be at least -1")
     if not increments and n >= 0:

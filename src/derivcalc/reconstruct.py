@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Mapping
 
 from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key, zero_index
@@ -48,6 +48,19 @@ class IncompleteGridError(ValueError):
     """The value grid is missing entries."""
 
 
+def _cube_gaps(values: Mapping, k: int, n: int) -> tuple[list, list]:
+    """(missing, unexpected): the first four nodes of the cube {0..n}^k that
+    `values` lacks and the first four keys off the cube, both sorted.  Keys
+    on the cube are counted, never the cube itself built: it has (n+1)^k
+    nodes."""
+    nodes = range(n + 1)
+    extra = sorted(i for i in values if len(i) != k or not all(e in nodes for e in i))
+    if not extra and len(values) == len(nodes) ** k:
+        return [], []
+    missing = (i for i in product(nodes, repeat=k) if i not in values)
+    return list(islice(missing, 4)), extra[:4]
+
+
 @dataclass(frozen=True)
 class GridValues:
     """Operator values D(t^i) on the full cube grid i in {0..n}^k."""
@@ -57,11 +70,8 @@ class GridValues:
     values: Mapping[Monomial, RatFunc]
 
     def __post_init__(self):
-        expected = set(product(range(self.n + 1), repeat=self.k))
-        got = set(self.values)
-        if got != expected:
-            missing = sorted(expected - got)[:4]
-            extra = sorted(got - expected)[:4]
+        missing, extra = _cube_gaps(self.values, self.k, self.n)
+        if missing or extra:
             raise IncompleteGridError(
                 f"grid must cover {{0..{self.n}}}^{self.k}; "
                 f"missing {missing}, unexpected {extra}"
@@ -145,8 +155,7 @@ def newton_coeffs(
     some = next(iter(p_values))
     k = len(some)
     n = max(max(idx) for idx in p_values) if p_values else 0
-    expected = set(product(range(n + 1), repeat=k))
-    if set(p_values) != expected:
+    if any(_cube_gaps(p_values, k, n)):
         raise IncompleteGridError(f"grid must be the full cube {{0..{n}}}^{k}")
     out: dict[Monomial, RatFunc] = {}
     for j in product(range(n + 1), repeat=k):

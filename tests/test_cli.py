@@ -1,6 +1,8 @@
 """Expression language and command-line behavior."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -264,6 +266,22 @@ def test_cli_incomplete_grid_is_usage_error(capsys):
     assert code == 2
 
 
+def test_cli_huge_empty_grid_is_rejected_without_building_it():
+    # the cube {0..9}^9 has 10^9 nodes; validation must not enumerate them.
+    # The child gets 1 GiB of address space, so a regression fails fast.
+    grid = json.dumps({"k": 9, "n": 9, "values": {}})
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from derivcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "reconstruct", "--grid", grid],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "missing [(0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1)," in proc.stderr
+
+
 def test_cli_fit_infeasible_exit_code(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -387,6 +405,17 @@ def test_cli_duplicate_json_key_is_usage_error(capsys):
     )
     assert code == 2 and out == ""
     assert "duplicate JSON key 't1'" in err
+
+
+def test_cli_json_flag_after_the_subcommand(capsys):
+    argv = ["order", "--k", "1", "--op", "d[2]"]
+    before = run_cli(capsys, "--json", *argv)
+    after = run_cli(capsys, *argv, "--json")
+    assert before == after
+    assert before[0] == 0 and json.loads(before[1]) == {"order": 2, "zero_map": False}
+    # a subcommand without the flag keeps the top-level one
+    code, out, _ = run_cli(capsys, "--json", "recurrence", "--coeffs", '["1"]', "--seq", '["0"]')
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_cli_parse_error_exit_code(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivcalc.deriv import DiffOp
 from derivcalc.exactnum import (
     GF2Poly,
     MultiPoly,
@@ -14,6 +15,7 @@ from derivcalc.exactnum import (
     poly_gcd,
     ratfunc_normalize,
 )
+from derivcalc.genpoly import ExpPoly
 
 
 def t(k=1, i=0):
@@ -234,6 +236,31 @@ def test_total_degree_conventions():
     assert MultiPoly.zero(2).total_degree == -1
     assert MultiPoly.const(2, 5).total_degree == 0
     assert (t(2, 0) ** 2 * t(2, 1)).total_degree == 3
+
+
+def test_powers_are_repeated_products():
+    p = t(2, 0) - t(2, 1).scale(Fraction(1, 2)) + 3
+    g = GF2Poly(0b1011)
+    acc_p, acc_g = MultiPoly.const(2, 1), GF2Poly.one()
+    for n in range(10):
+        assert p**n == acc_p and g**n == acc_g
+        acc_p, acc_g = acc_p * p, acc_g * g
+
+
+def test_term_map_validation_and_immutability():
+    with pytest.raises(ValueError, match="bad monomial"):
+        MultiPoly(2, {(1,): 1})
+    for cls in (DiffOp, ExpPoly):
+        with pytest.raises(ValueError, match="bad multi-index"):
+            cls(2, {(1, -1): 1})
+    for cls in (MultiPoly, DiffOp, ExpPoly):
+        with pytest.raises(ValueError, match="variable count"):
+            cls(-1)
+        value = cls(2, {(1, 0): 2, (0, 1): 0})
+        assert list(value.terms) == [(1, 0)]
+        assert {value, cls(2, {(1, 0): 2})} == {value}
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            value.k = 3
 
 
 # ---------------------------------------------------------------------------

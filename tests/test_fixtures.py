@@ -69,6 +69,23 @@ def test_char2_modified_map_is_derivation_candidate_on_small_set():
     assert rep.is_derivation_on_tested
 
 
+def test_char2_order_check_evaluates_each_input_once():
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return char2_D(p)
+
+    for max_degree in (1, 2):
+        calls.clear()
+        rep = char2_order_check(max_degree=max_degree, D=counted)
+        assert rep.ok
+        # every argument is a product of at most three inputs of degree
+        # <= max_degree, and there are 2**(3*max_degree+1) such polynomials
+        assert len(calls) <= 2 ** (3 * max_degree + 1)
+        assert len(calls) == len(set(calls))
+
+
 def test_char2_compose_identity_values():
     # with a = 1: k even gives 0, k odd gives x^(k-1)
     rep = char2_compose_check(GF2Poly.one())

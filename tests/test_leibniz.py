@@ -1,5 +1,6 @@
 """Defect calculus: B(x, y), nested defects, order checks."""
 
+import math
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from derivcalc.sampling import (
     random_derivation,
     random_diffop,
     random_ratfunc,
+    random_sparse_ratfunc,
 )
 
 t = RatFunc.variable(1, 0)
@@ -58,6 +60,36 @@ def test_nested_defect_examples():
     assert nested_defect(dd, x, (y,)).is_zero
     # one-fold defect of the second derivative does not: order > 1 witness
     assert nested_defect(D2, t, (t,)) == 2
+
+
+def _nested_defect_closed_form(D, x, ys):
+    """Sum over nonempty S of Z = (x, y1..ym) of
+    (-1)^|Z\\S| * prod(Z\\S) * D(prod S): the recursion unrolled."""
+    z = (x, *ys)
+    one = RatFunc.one(x.k)
+    total = RatFunc.zero(x.k)
+    for mask in range(1, 2 ** len(z)):
+        inside = [v for i, v in enumerate(z) if mask >> i & 1]
+        outside = [v for i, v in enumerate(z) if not mask >> i & 1]
+        term = D(math.prod(inside, start=one)) * math.prod(outside, start=one)
+        total = total - term if len(outside) % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nested_defect_matches_closed_form(m):
+    rng = Random(700 + m)
+
+    def not_additive(x):
+        # neither additive nor zero at 1: the identity holds for any map
+        return x * x + x.partial(1) + 1
+
+    for _ in range(3):
+        E = random_diffop(rng, 2, 2, in_o0=False, exact_degree=False)
+        x, *ys = (random_sparse_ratfunc(rng, 2, max_degree=2) for _ in range(m + 1))
+        ys[-1] = ys[-1] / (x * x + 1)  # one element with a denominator
+        for D in (E, not_additive):
+            assert nested_defect(D, x, ys) == _nested_defect_closed_form(D, x, ys)
 
 
 def test_nested_defect_requires_nesting_elements():

@@ -64,6 +64,9 @@ def test_newton_bilinear():
 def test_newton_rejects_incomplete_grid():
     with pytest.raises(IncompleteGridError):
         newton_coeffs({(0,): one1, (2,): one1})
+    # the cube {0..9}^9 has 10^9 nodes: keys are counted, the cube never built
+    with pytest.raises(IncompleteGridError):
+        newton_coeffs({(9,) * 9: RatFunc.one(9)})
 
 
 def test_newton_interpolation_is_exact():
@@ -142,6 +145,10 @@ def test_grid_validation():
         GridValues(
             1, 0, {(0,): RatFunc.zero(1), (3,): RatFunc.zero(1)}
         )
+    with pytest.raises(IncompleteGridError, match=r"missing \[\(1,\)\], unexpected \[\(0, 0\), \(5,\)\]"):
+        GridValues(1, 1, {(0,): one1, (5,): one1, (0, 0): one1})
+    with pytest.raises(IncompleteGridError, match=r"missing \[\(0, 0, 0, 0, 0, 0, 0, 0, 0\), "):
+        GridValues(9, 9, {})
 
 
 # ---------------------------------------------------------------------------
