@@ -66,9 +66,22 @@ from .fixtures import (
     product_ring_demo,
     theorem2_demo,
 )
-from .cli import parse_derivation, parse_diffop, parse_expr, parse_word
 
 __version__ = "0.1.0"
+
+_READERS = ("parse_derivation", "parse_diffop", "parse_expr", "parse_word")
+
+
+def __getattr__(name):
+    # The readers live in the CLI module, loaded on first use (PEP 562): a
+    # package that imports its own front end makes ``python -m derivcalc.cli``
+    # warn that the module is already loaded.
+    if name in _READERS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BigRational",

@@ -16,7 +16,9 @@ to 0); words compose derivation literals with ``o``, as in
 ``(t1 -> 1) o (t1 -> t1)``.
 
 Exit codes: 0 success, 1 mathematical infeasibility or a failed check
-(witness printed), 2 usage or parse errors.
+(witness printed), 2 usage or parse errors, 3 an internal error (a bug; the
+message names the exception), 141 standard output closed early (as by
+``| head``).  Run it as ``derivcalc`` or ``python -m derivcalc.cli``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
@@ -56,73 +60,29 @@ class ExprSyntaxError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    ",": "COMMA",
-    ";": "SEMI",
-}
+# One alternative per token kind, tried in order ('->' before '-'); the
+# unnamed first one skips whitespace and the last catches any other character.
+_SCANNER = re.compile(
+    r"""\s+ | (?P<ARROW>->) | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<SLASH>/)
+    | (?P<CARET>\^) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACK>\[) | (?P<RBRACK>\])
+    | (?P<COMMA>,) | (?P<SEMI>;) | (?P<INT>\d+) | t(?P<VAR>\d+) | (?P<DOP>d) | (?P<COMPOSE>o)
+    | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
-
-class _Token:
-    __slots__ = ("kind", "pos", "value")
-
-    def __init__(self, kind: str, pos: int, value=None):
-        self.kind = kind
-        self.pos = pos
-        self.value = value
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.pos}, {self.value})"
+_Token = namedtuple("_Token", "kind pos value")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", i))
-            i += 2
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", i, int(text[i:j])))
-            i = j
-            continue
-        if ch == "t" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("VAR", i, int(text[i + 1 : j])))
-            i = j
-            continue
-        if ch == "d":
-            tokens.append(_Token("DOP", i))
-            i += 1
-            continue
-        if ch == "o":
-            tokens.append(_Token("COMPOSE", i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", n))
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:
+            value = int(m.group(kind)) if kind in ("INT", "VAR") else None
+            tokens.append(_Token(kind, m.start(), value))
+    tokens.append(_Token("END", len(text), None))
     return tokens
 
 
@@ -130,7 +90,6 @@ class _Parser:
     def __init__(self, text: str, k: int):
         if k < 1:
             raise ValueError("k must be at least 1")
-        self.text = text
         self.k = k
         self.tokens = _tokenize(text)
         self.i = 0
@@ -172,10 +131,12 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> RatFunc:
+    def term(self, stop_at_d: bool = False) -> RatFunc:
+        """A product of factors; with ``stop_at_d`` it ends before ``* d[...]``."""
         value = self.factor()
         while True:
-            if self.accept("STAR"):
+            if self.peek().kind == "STAR" and not (stop_at_d and self.peek(1).kind == "DOP"):
+                self.take("STAR")
                 value = value * self.factor()
             elif self.peek().kind == "SLASH":
                 pos = self.take("SLASH").pos
@@ -199,7 +160,7 @@ class _Parser:
             self.take("INT")
             # greedy rational literal: int '/' positive-int
             if self.peek().kind == "SLASH" and self.peek(1).kind == "INT":
-                slash = self.take("SLASH")
+                self.take("SLASH")
                 den = self.take("INT")
                 if den.value == 0:
                     raise ExprSyntaxError("zero denominator in rational", den.pos)
@@ -241,26 +202,14 @@ class _Parser:
             sign = -sign
         if self.peek().kind == "DOP":
             return self.d_atom(), RatFunc.const(self.k, sign)
-        coef = self.factor() * sign
-        while True:
-            if self.accept("STAR"):
-                if self.peek().kind == "DOP":
-                    alpha = self.d_atom()
-                    nxt = self.peek()
-                    if nxt.kind in ("STAR", "SLASH", "CARET"):
-                        raise ExprSyntaxError(
-                            "coefficient factors must precede d[...]", nxt.pos
-                        )
-                    return alpha, coef
-                coef = coef * self.factor()
-            elif self.peek().kind == "SLASH":
-                pos = self.take("SLASH").pos
-                divisor = self.factor()
-                if divisor.is_zero:
-                    raise ExprSyntaxError("division by the zero expression", pos)
-                coef = coef / divisor
-            else:
-                return zero_index(self.k), coef
+        coef = self.term(stop_at_d=True) * sign
+        if not self.accept("STAR"):
+            return zero_index(self.k), coef
+        alpha = self.d_atom()
+        nxt = self.peek()
+        if nxt.kind in ("STAR", "SLASH", "CARET"):
+            raise ExprSyntaxError("coefficient factors must precede d[...]", nxt.pos)
+        return alpha, coef
 
     def diffop(self) -> DiffOp:
         terms = [self.opterm()]
@@ -304,36 +253,32 @@ class _Parser:
         return OpWord.composition(factors)
 
 
-def parse_expr(text: str, k: int) -> RatFunc:
-    """Parse a field expression over Q(t1..tk) into canonical form."""
+def _parse(text: str, k: int, rule):
+    """Read all of ``text`` over Q(t1..tk) with one ``_Parser`` method."""
     p = _Parser(text, k)
-    value = p.expr()
+    value = rule(p)
     p.expect_end()
     return value
+
+
+def parse_expr(text: str, k: int) -> RatFunc:
+    """Parse a field expression over Q(t1..tk) into canonical form."""
+    return _parse(text, k, _Parser.expr)
 
 
 def parse_diffop(text: str, k: int) -> DiffOp:
     """Parse an operator literal (sum of ``coef * d[j1,...,jk]`` terms)."""
-    p = _Parser(text, k)
-    value = p.diffop()
-    p.expect_end()
-    return value
+    return _parse(text, k, _Parser.diffop)
 
 
 def parse_derivation(text: str, k: int) -> Derivation:
     """Parse a derivation literal ``t1 -> expr; ...``."""
-    p = _Parser(text, k)
-    value = p.derivation_literal()
-    p.expect_end()
-    return value
+    return _parse(text, k, _Parser.derivation_literal)
 
 
 def parse_word(text: str, k: int) -> OpWord:
     """Parse a composition word of derivation literals joined by ``o``."""
-    p = _Parser(text, k)
-    value = p.word()
-    p.expect_end()
-    return value
+    return _parse(text, k, _Parser.word)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +323,12 @@ def parse_grid_json(raw: str) -> GridValues:
     data = _load_json_arg(raw)
     if not isinstance(data, dict) or not {"k", "n", "values"} <= set(data):
         raise ExprSyntaxError('grid JSON needs "k", "n" and "values"', 0)
-    k, n = int(data["k"]), int(data["n"])
+    for field in ("k", "n"):
+        if type(data[field]) is not int:  # bool is an int subclass, and not a count
+            raise ExprSyntaxError(f'grid "{field}" must be a JSON integer', 0)
+    if not isinstance(data["values"], dict):
+        raise ExprSyntaxError('grid "values" must be a JSON object', 0)
+    k, n = data["k"], data["n"]
     values = {}
     for key, val in data["values"].items():
         try:
@@ -410,6 +360,20 @@ class MathFailure(Exception):
         super().__init__(lines[0] if lines else "failed")
 
 
+def _operator_out(op: DiffOp):
+    return {"operator": str(op), "degree": op.degree}, [
+        f"operator: {op}",
+        f"degree: {op.degree}",
+    ]
+
+
+def _checked(ok: bool, payload: dict, lines: list[str]):
+    """The command result, or a MathFailure carrying it when the check failed."""
+    if not ok:
+        raise MathFailure(payload, lines)
+    return payload, lines
+
+
 def _operator_from_args(args) -> DiffOp:
     if getattr(args, "op", None) is not None:
         return parse_diffop(args.op, args.k)
@@ -429,21 +393,11 @@ def _cmd_apply(args, seed):
 
 
 def _cmd_normalize(args, seed):
-    op = normalize(parse_word(args.word, args.k))
-    return {"operator": str(op), "degree": op.degree}, [
-        f"operator: {op}",
-        f"degree: {op.degree}",
-    ]
+    return _operator_out(normalize(parse_word(args.word, args.k)))
 
 
 def _cmd_compose(args, seed):
-    e1 = parse_diffop(args.op1, args.k)
-    e2 = parse_diffop(args.op2, args.k)
-    out = compose(e1, e2)
-    return {"operator": str(out), "degree": out.degree}, [
-        f"operator: {out}",
-        f"degree: {out.degree}",
-    ]
+    return _operator_out(compose(parse_diffop(args.op1, args.k), parse_diffop(args.op2, args.k)))
 
 
 def _cmd_order(args, seed):
@@ -489,8 +443,7 @@ def _cmd_gpdeg(args, seed):
         lines.append(f"witness increments: {'; '.join(str(g) for g in gs)}")
         lines.append(f"witness point: {x}")
         lines.append(f"witness value: {res.value}")
-        raise MathFailure(payload, lines)
-    return payload, lines
+    return _checked(res.ok, payload, lines)
 
 
 def _cmd_expoly(args, seed):
@@ -516,10 +469,7 @@ def _cmd_reconstruct(args, seed):
             ["degree overflow: data inconsistent with the bound",
              f"offending indices: {payload['offending']}"],
         )
-    return {"operator": str(op), "degree": op.degree}, [
-        f"operator: {op}",
-        f"degree: {op.degree}",
-    ]
+    return _operator_out(op)
 
 
 def _cmd_fit(args, seed):
@@ -550,8 +500,7 @@ def _cmd_recurrence(args, seed):
     lines = [f"pass: {str(res.ok).lower()}"]
     if not res.ok:
         lines.append(f"first failure at index: {res.first_failure}")
-        raise MathFailure(payload, lines)
-    return payload, lines
+    return _checked(res.ok, payload, lines)
 
 
 def _cmd_demo(args, seed):
@@ -577,9 +526,7 @@ def _cmd_demo(args, seed):
             "composition of two derivations stays first order: "
             f"{str(comp.ok).lower()}",
         ]
-        if not (rep.ok and comp.ok):
-            raise MathFailure(payload, lines)
-        return payload, lines
+        return _checked(rep.ok and comp.ok, payload, lines)
     if args.which == "product-ring":
         rep = product_ring_demo()
         payload = {
@@ -596,9 +543,7 @@ def _cmd_demo(args, seed):
             f"d1 is nonzero: d1(x, 0) = {rep.d1_nonzero_witness}",
             f"d2 is nonzero: d2(0, x) = {rep.d2_nonzero_witness}",
         ]
-        if not rep.ok:
-            raise MathFailure(payload, lines)
-        return payload, lines
+        return _checked(rep.ok, payload, lines)
     # theorem2
     if args.derivations is not None:
         word = parse_word(args.derivations, args.k)
@@ -626,9 +571,7 @@ def _cmd_demo(args, seed):
         f"{str(rep.witness is not None).lower()} "
         f"({rep.witness_tuples_tried} tuples tried)",
     ]
-    if not rep.ok:
-        raise MathFailure(payload, lines)
-    return payload, lines
+    return _checked(rep.ok, payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +672,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to the null device
+        # so the interpreter's own flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -763,6 +720,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

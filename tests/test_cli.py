@@ -1,13 +1,17 @@
 """Expression language and command-line behavior."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import derivcalc
+from derivcalc import cli
 from derivcalc.exactnum import MultiPoly, RatFunc
 from derivcalc.deriv import Derivation, DiffOp
 from derivcalc.cli import (
@@ -117,6 +121,21 @@ def test_parse_word_composition():
     coef, word = w.words[0]
     assert coef == 1 and len(word) == 2
     assert word[0] == Derivation([RatFunc.one(2), RatFunc.zero(2)])
+
+
+# every token character, blanks, two digits (so powers stay small) and a
+# digit that is not a decimal one
+_READER_ALPHABET = "+-*/^()[],;>tdo \t12\u00b2"
+
+
+@settings(deadline=None)
+@given(text=st.text(_READER_ALPHABET, max_size=8), k=st.sampled_from([1, 2]))
+def test_reader_returns_or_raises_syntax_error(text, k):
+    for parse in (parse_expr, parse_diffop, parse_derivation, parse_word):
+        try:
+            parse(text, k)
+        except ExprSyntaxError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +277,20 @@ def test_cli_grid_from_file(capsys, tmp_path):
 def test_cli_bad_json_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", "{oops")
     assert code == 2
+    # a grid of the wrong shape is a parse error that names the field
+    values = '{"0":"0","1":"0","2":"2"}'
+    for grid, field in [
+        ('{"k":1,"n":2,"values":[]}', "values"),
+        ('{"k":1,"n":2,"values":"0"}', "values"),
+        ('{"k":[1],"n":2,"values":%s}' % values, "k"),
+        ('{"k":null,"n":2,"values":%s}' % values, "k"),
+        ('{"k":1,"n":1.5,"values":%s}' % values, "n"),
+        ('{"k":true,"n":2,"values":%s}' % values, "k"),
+        ('{"k":"1","n":2,"values":%s}' % values, "k"),
+    ]:
+        code, out, err = run_cli(capsys, "reconstruct", "--grid", grid)
+        assert (code, out) == (2, ""), grid
+        assert err.startswith(f'parse error: grid "{field}" must be a JSON'), grid
 
 
 def test_cli_incomplete_grid_is_usage_error(capsys):
@@ -416,6 +449,61 @@ def test_cli_json_flag_after_the_subcommand(capsys):
     # a subcommand without the flag keeps the top-level one
     code, out, _ = run_cli(capsys, "--json", "recurrence", "--coeffs", '["1"]', "--seq", '["0"]')
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def _child_env(**extra):
+    """The environment for a child interpreter that imports this derivcalc."""
+    src = os.path.dirname(os.path.dirname(derivcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_cli_broken_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "derivcalc.cli", "demo", "char2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_cli_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_order", broken)
+    code, out, err = run_cli(capsys, "order", "--k", "1", "--op", "d[2]")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+
+def test_cli_runs_as_a_module_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "derivcalc.cli", "order", "--k", "1", "--op", "d[2]"],
+        capture_output=True, text=True, timeout=60, env=_child_env(PYTHONWARNINGS="error"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "order: 2\n", "")
+
+
+def test_package_loads_the_readers_on_first_use():
+    script = (
+        "import sys, derivcalc\n"
+        "assert 'derivcalc.cli' not in sys.modules\n"
+        "from derivcalc import *\n"
+        "assert set(derivcalc.__all__) <= set(dir())\n"
+        "from derivcalc import parse_expr\n"
+        "from derivcalc.cli import parse_expr as reader\n"
+        "assert parse_expr is reader and str(parse_expr('t1+1', 1)) == 't1 + 1'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_parse_error_exit_code(capsys):
