@@ -306,15 +306,23 @@ def _load_json_arg(raw: str):
         raise ExprSyntaxError(f"invalid JSON: {exc.msg}", exc.pos)
 
 
+def _json_expr(value, where: str, k: int) -> RatFunc:
+    """Read a JSON value that must be an expression string or an integer."""
+    # bool is an int subclass, and not an expression
+    if not isinstance(value, str) and type(value) is not int:
+        raise ExprSyntaxError(f"{where} must be an expression string or an integer", 0)
+    return parse_expr(str(value), k)
+
+
 def parse_table_json(raw: str, k: int) -> MapTable:
     """MapTable JSON: an object mapping expression strings to expression
-    strings."""
+    strings or integers."""
     data = _load_json_arg(raw)
     if not isinstance(data, dict):
         raise ExprSyntaxError("table JSON must be an object", 0)
     pairs = []
     for key, val in data.items():
-        pairs.append((parse_expr(key, k), parse_expr(str(val), k)))
+        pairs.append((parse_expr(key, k), _json_expr(val, f"table value {key!r}", k)))
     return MapTable.from_pairs(pairs, k)
 
 
@@ -335,7 +343,7 @@ def parse_grid_json(raw: str) -> GridValues:
             idx = tuple(int(part) for part in key.split(","))
         except ValueError:
             raise ExprSyntaxError(f"bad grid index {key!r}", 0)
-        values[idx] = parse_expr(str(val), k)
+        values[idx] = _json_expr(val, f"grid value {key!r}", k)
     return GridValues(k, n, values)
 
 
@@ -343,7 +351,7 @@ def parse_exprs_json(raw: str, k: int) -> list[RatFunc]:
     data = _load_json_arg(raw)
     if not isinstance(data, list):
         raise ExprSyntaxError("expected a JSON array of expression strings", 0)
-    return [parse_expr(str(item), k) for item in data]
+    return [_json_expr(item, f"array item {i}", k) for i, item in enumerate(data)]
 
 
 # ---------------------------------------------------------------------------

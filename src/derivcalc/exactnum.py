@@ -13,8 +13,9 @@ Representation choices:
   the one owner of the term-map class code (validation, immutability,
   linear structure, equality, hashing and evaluation); ``MultiPoly`` and
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
-  Q(t1..tk)) subclass it.  Other modules call these instead of building
-  tuples or accumulate loops themselves.
+  Q(t1..tk)) subclass it; ``sparse_product`` is the one product, the ``*``
+  of ``MultiPoly`` and ``ExpPoly``.  Other modules call these instead of
+  building tuples or accumulate loops themselves.
 * ``MultiPoly`` maps monomials to nonzero exact rational coefficients; the
   zero polynomial has an empty term map.  Integral coefficients are stored
   as plain int (hash- and equality-compatible with Fraction, and much
@@ -159,6 +160,32 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return result
+
+
+def sparse_product(self, other):
+    """``__mul__``/``__rmul__`` of a term-map class: the sparse product with
+    a value of the same class, ``scale`` by one of the class's ``_scalars``."""
+    if isinstance(other, self._scalars):
+        return self.scale(other)
+    if type(other) is not type(self):
+        return NotImplemented
+    check_k(self.k, other.k)
+    if not self.terms or not other.terms:
+        return self.zero(self.k)
+    # iterate over the smaller operand outside
+    a, b = (self.terms, other.terms)
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = _mono_mul(ma, mb)
+            s = out.get(mono, 0) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return self._raw(self.k, out)
 
 
 class TermMap:
@@ -337,30 +364,8 @@ class MultiPoly(TermMap):
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        check_k(self.k, other.k)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.k)
-        # iterate over the smaller operand outside
-        a, b = (self.terms, other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = _mono_mul(ma, mb)
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return MultiPoly._raw(self.k, out)
-
-    __rmul__ = __mul__
+    _scalars = (int, Fraction)
+    __mul__ = __rmul__ = sparse_product
 
     def scale(self, c) -> "MultiPoly":
         c = _as_coeff(c)
@@ -370,15 +375,6 @@ class MultiPoly(TermMap):
             return MultiPoly._raw(self.k, {m: coef * c for m, coef in self.terms.items()})
         return MultiPoly._raw(
             self.k, {m: _as_coeff(coef * c) for m, coef in self.terms.items()}
-        )
-
-    def mul_monomial(self, mono: Monomial, coef=1) -> "MultiPoly":
-        c = _as_coeff(coef)
-        if not c or not self.terms:
-            return MultiPoly.zero(self.k)
-        mono = tuple(mono)
-        return MultiPoly._raw(
-            self.k, {_mono_mul(m, mono): cc * c for m, cc in self.terms.items()}
         )
 
     def __pow__(self, n: int):
@@ -530,11 +526,6 @@ def _lead_wrt(p: MultiPoly, v: int) -> MultiPoly:
     return coeffs[d]
 
 
-def _shift_var(p: MultiPoly, v: int, e: int) -> MultiPoly:
-    """Multiply by the monomial v^e."""
-    return p.mul_monomial(mono_set(zero_index(p.k), v, e))
-
-
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     """Pseudo-remainder of a by b with respect to variable v:
     lead(b)^(deg a - deg b + 1) * a modulo b."""
@@ -544,7 +535,8 @@ def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     n = a.degree_in(v) - db + 1
     while not r.is_zero and r.degree_in(v) >= db:
         lcr = _lead_wrt(r, v)
-        r = r * lcb - _shift_var(lcr, v, r.degree_in(v) - db) * b
+        x_e = mono_set(zero_index(a.k), v, r.degree_in(v) - db)
+        r = r * lcb - lcr * MultiPoly.monomial(a.k, x_e) * b
         n -= 1
     if n > 0:
         r = r * lcb**n

@@ -12,15 +12,18 @@ coefficients in the field:
 
     E(t^i)/t^i = sum_a c_a * i^(falling a) * t^(-a),
 
-where i^(falling m) = i(i-1)...(i-m+1).  ``exponent_polynomial`` expands
-this into the monomial basis of the exponent variables; its total degree
+where i^(falling m) = i(i-1)...(i-m+1) = sum_e s(m, e) * i^e with s the
+signed Stirling numbers of the first kind.  ``exponent_polynomial`` expands
+this in closed form, c_a * t^(-a) * prod_j s(a_j, e_j) being the coefficient
+of i^e, into the monomial basis of the exponent variables; its total degree
 recovers the operator degree exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 from typing import Callable, Sequence
 
 from .exactnum import (
@@ -29,11 +32,9 @@ from .exactnum import (
     MultiPoly,
     RatFunc,
     RatFuncTerms,
-    _mono_mul,
     add_terms,
-    check_k,
-    mono_set,
     mono_str,
+    sparse_product,
     unit_index,
     zero_index,
 )
@@ -62,20 +63,8 @@ class ExpPoly(RatFuncTerms):
         k = len(coeffs)
         return cls(k, {unit_index(k, j): c for j, c in enumerate(coeffs)})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return self.scale(other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        check_k(self.k, other.k)
-        products = (
-            (_mono_mul(ba, bb), ca * cb)
-            for ba, ca in self.terms.items()
-            for bb, cb in other.terms.items()
-        )
-        return ExpPoly._raw(self.k, add_terms({}, products))
-
-    __rmul__ = __mul__
+    _scalars = (int, Fraction, RatFunc)
+    __mul__ = __rmul__ = sparse_product
 
     def map_coeffs(self, fn: Callable[[RatFunc], RatFunc]) -> "ExpPoly":
         out = {}
@@ -183,12 +172,6 @@ def falling_factorial_coeffs(m: int) -> list[Fraction]:
     return coeffs
 
 
-def _falling_factorial_exppoly(k: int, var: int, m: int) -> ExpPoly:
-    coeffs = falling_factorial_coeffs(m)
-    zero = zero_index(k)
-    return ExpPoly(k, {mono_set(zero, var, e): c for e, c in enumerate(coeffs)})
-
-
 def over_identity(E: DiffOp) -> SemigroupMap:
     """The semigroup map x -> E(x)/x induced by an operator."""
 
@@ -203,21 +186,26 @@ def over_identity(E: DiffOp) -> SemigroupMap:
 def exponent_polynomial(E: DiffOp) -> ExpPoly:
     """The polynomial p with p(i1..ik) = E(t1^i1...tk^ik) / t1^i1...tk^ik.
 
-    Each canonical term c_a d^a contributes c_a * t^(-a) times a product of
-    falling factorials in the exponent variables, which is then expanded in
-    the monomial basis.
+    Each canonical term c_a d^a contributes c_a * t^(-a) times the tensor
+    product of the coefficient lists of the falling factorials i_j^(falling
+    a_j), which is their product in the monomial basis.
     """
     k = E.k
-    total = ExpPoly.zero(k)
+    out: dict = {}
     for alpha, c in E.coeffs.items():
-        t_pow = MultiPoly.monomial(k, alpha)
-        coef = c * RatFunc(MultiPoly.const(k, 1), t_pow)
-        term = ExpPoly.const(k, coef)
-        for var, m in enumerate(alpha):
-            if m:
-                term = term * _falling_factorial_exppoly(k, var, m)
-        total = total + term
-    return total
+        coef = c / MultiPoly.monomial(k, alpha)
+        factors = [
+            [(e, s) for e, s in enumerate(falling_factorial_coeffs(m)) if s]
+            for m in alpha
+        ]
+        add_terms(
+            out,
+            (
+                (tuple(e for e, _ in picks), coef * prod(s for _, s in picks))
+                for picks in product(*factors)
+            ),
+        )
+    return ExpPoly._raw(k, out)
 
 
 def expoly_degree(p: ExpPoly) -> int:

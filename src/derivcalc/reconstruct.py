@@ -70,6 +70,9 @@ class GridValues:
     values: Mapping[Monomial, RatFunc]
 
     def __post_init__(self):
+        for field, size in (("k", self.k), ("n", self.n)):
+            if size < 0:
+                raise ValueError(f"grid {field} must be nonnegative, got {size}")
         missing, extra = _cube_gaps(self.values, self.k, self.n)
         if missing or extra:
             raise IncompleteGridError(

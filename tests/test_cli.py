@@ -291,6 +291,25 @@ def test_cli_bad_json_is_usage_error(capsys):
         code, out, err = run_cli(capsys, "reconstruct", "--grid", grid)
         assert (code, out) == (2, ""), grid
         assert err.startswith(f'parse error: grid "{field}" must be a JSON'), grid
+    # a JSON value read as an expression must be a string or an integer
+    as_int = run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", '{"t1":1}')
+    assert as_int == run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", '{"t1":"1"}')
+    assert as_int[0] == 0
+    for bad in ("null", "true", "false", "1.5", '["t1"]', '{"t1": "1"}'):
+        for argv, where in [
+            (("fit", "--k", "1", "--n", "1", "--table", '{"t1":%s}' % bad), "table value 't1'"),
+            (
+                ("reconstruct", "--grid", '{"k":1,"n":1,"values":{"0":"0","1":%s}}' % bad),
+                "grid value '1'",
+            ),
+            (("recurrence", "--coeffs", '["1", %s]' % bad, "--seq", '["1"]'), "array item 1"),
+            (("recurrence", "--coeffs", '["1"]', "--seq", "[%s]" % bad), "array item 0"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(
+                f"parse error: {where} must be an expression string or an integer"
+            ), argv
 
 
 def test_cli_incomplete_grid_is_usage_error(capsys):

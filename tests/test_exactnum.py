@@ -1,10 +1,13 @@
 """Exact arithmetic: canonical forms, gcd, evaluation, and ring laws."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivcalc import exactnum
 from derivcalc.deriv import DiffOp
 from derivcalc.exactnum import (
     GF2Poly,
@@ -261,6 +264,23 @@ def test_term_map_validation_and_immutability():
         assert {value, cls(2, {(1, 0): 2})} == {value}
         with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             value.k = 3
+
+
+def test_no_module_imports_private_exactnum_names():
+    # the monomial format and the kernels on it stay private to exactnum
+    offenders = []
+    for path in sorted(Path(exactnum.__file__).parent.glob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "exactnum",
+                "derivcalc.exactnum",
+            ):
+                offenders += [
+                    f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
+                ]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Multiplicative differences, exponent polynomials, degree calculus."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -153,8 +154,8 @@ def test_exponent_polynomial_matches_monomial_action():
         k = rng.choice((1, 2))
         E = random_diffop(rng, k, rng.randint(0, 3), in_o0=False)
         p = exponent_polynomial(E)
-        for _ in range(3):
-            exps = tuple(rng.randint(0, 4) for _ in range(k))
+        # values on {0..deg E}^k fix a polynomial of total degree <= deg E
+        for exps in product(range(max(E.degree, 0) + 1), repeat=k):
             mono = RatFunc.from_poly(MultiPoly.monomial(k, exps))
             assert E(mono) == p(exps) * mono
         assert expoly_degree(p) == E.degree
@@ -244,3 +245,7 @@ def test_diffop_and_exppoly_never_mix():
         E + p
     with pytest.raises(TypeError):
         p - E
+    # operator product is composition, never `*`
+    for a, b in ((E, E), (E, p), (p, E)):
+        with pytest.raises(TypeError):
+            a * b

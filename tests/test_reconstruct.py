@@ -149,6 +149,9 @@ def test_grid_validation():
         GridValues(1, 1, {(0,): one1, (5,): one1, (0, 0): one1})
     with pytest.raises(IncompleteGridError, match=r"missing \[\(0, 0, 0, 0, 0, 0, 0, 0, 0\), "):
         GridValues(9, 9, {})
+    for k, n, field in ((-1, 1, "k"), (1, -1, "n")):
+        with pytest.raises(ValueError, match=f"grid {field} must be nonnegative"):
+            GridValues(k, n, {})
 
 
 # ---------------------------------------------------------------------------
