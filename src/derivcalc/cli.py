@@ -73,6 +73,13 @@ _SCANNER = re.compile(
 _Token = namedtuple("_Token", "kind pos value")
 
 
+def _too_long(digits: str) -> str:
+    return (
+        f"integer literal of {len(digits.lstrip('-'))} digits is longer than "
+        f"the {sys.get_int_max_str_digits()}-digit limit"
+    )
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for m in _SCANNER.finditer(text):
@@ -80,16 +87,21 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "BAD":
             raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
         if kind is not None:
-            value = int(m.group(kind)) if kind in ("INT", "VAR") else None
+            value = None
+            if kind in ("INT", "VAR"):
+                try:
+                    value = int(m.group(kind))
+                except ValueError:  # longer than the interpreter converts
+                    raise ExprSyntaxError(_too_long(m.group(kind)), m.start(kind)) from None
             tokens.append(_Token(kind, m.start(), value))
     tokens.append(_Token("END", len(text), None))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, k: int):
-        if k < 1:
-            raise ValueError("k must be at least 1")
+    def __init__(self, text: str, k: int, least_k: int = 1):
+        if k < least_k:
+            raise ValueError(f"k must be at least {least_k}")
         self.k = k
         self.tokens = _tokenize(text)
         self.i = 0
@@ -253,9 +265,9 @@ class _Parser:
         return OpWord.composition(factors)
 
 
-def _parse(text: str, k: int, rule):
+def _parse(text: str, k: int, rule, least_k: int = 1):
     """Read all of ``text`` over Q(t1..tk) with one ``_Parser`` method."""
-    p = _Parser(text, k)
+    p = _Parser(text, k, least_k)
     value = rule(p)
     p.expect_end()
     return value
@@ -301,17 +313,35 @@ def _load_json_arg(raw: str):
         with open(raw[1:], "r", encoding="utf-8") as fh:
             raw = fh.read()
     try:
-        return json.loads(raw, object_pairs_hook=_unique_keys)
+        return json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ExprSyntaxError(f"invalid JSON: {exc.msg}", exc.pos)
 
 
-def _json_expr(value, where: str, k: int) -> RatFunc:
+class _LongInt(str):
+    """The digits of a JSON integer longer than the interpreter converts,
+    kept so that the reader can say where it was."""
+
+
+def _json_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
+def _no_long_int(value, where: str) -> None:
+    if type(value) is _LongInt:
+        raise ExprSyntaxError(f"{where}: {_too_long(value)}", 0)
+
+
+def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
     """Read a JSON value that must be an expression string or an integer."""
+    _no_long_int(value, where)
     # bool is an int subclass, and not an expression
     if not isinstance(value, str) and type(value) is not int:
         raise ExprSyntaxError(f"{where} must be an expression string or an integer", 0)
-    return parse_expr(str(value), k)
+    return _parse(str(value), k, _Parser.expr, least_k)
 
 
 def parse_table_json(raw: str, k: int) -> MapTable:
@@ -332,6 +362,7 @@ def parse_grid_json(raw: str) -> GridValues:
     if not isinstance(data, dict) or not {"k", "n", "values"} <= set(data):
         raise ExprSyntaxError('grid JSON needs "k", "n" and "values"', 0)
     for field in ("k", "n"):
+        _no_long_int(data[field], f'grid "{field}"')
         if type(data[field]) is not int:  # bool is an int subclass, and not a count
             raise ExprSyntaxError(f'grid "{field}" must be a JSON integer', 0)
     if not isinstance(data["values"], dict):
@@ -340,10 +371,12 @@ def parse_grid_json(raw: str) -> GridValues:
     values = {}
     for key, val in data["values"].items():
         try:
-            idx = tuple(int(part) for part in key.split(","))
+            # the one node of a grid over no variables, (), is spelled ""
+            idx = tuple(int(part) for part in key.split(",")) if key or k else ()
         except ValueError:
             raise ExprSyntaxError(f"bad grid index {key!r}", 0)
-        values[idx] = _json_expr(val, f"grid value {key!r}", k)
+        # its values are constants, so a grid may have k = 0
+        values[idx] = _json_expr(val, f"grid value {key!r}", k, least_k=0)
     return GridValues(k, n, values)
 
 

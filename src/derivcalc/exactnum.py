@@ -16,6 +16,19 @@ Representation choices:
   Q(t1..tk)) subclass it; ``sparse_product`` is the one product, the ``*``
   of ``MultiPoly`` and ``ExpPoly``.  Other modules call these instead of
   building tuples or accumulate loops themselves.
+* Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
+  classes) store each monomial as one int: with k variables and fields of
+  W = 32 bits, t1^e1...tk^ek is ``deg << k*W | e1 << (k-1)*W | ... | ek``,
+  deg = e1 + ... + ek (after Monagan & Pearce, CASC 2007).  Int order is
+  graded-lex order, a monomial product is one int add, and t_v^e is
+  ``e * unit`` for the packed t_v.  Every stored total degree stays below
+  2^(W-1) = 2^31, the exponent limit: packing a tuple or multiplying past
+  it raises ValueError, so a sum of two keys never carries from one field
+  into the next and the top bit of each field is free as a borrow guard
+  for divisibility tests.  ``DiffOp`` keeps plain tuple keys.  The packed
+  form is private: the ``terms`` map of a ``PackedKeys`` value holds packed
+  ints, while the constructors, ``leading_term()``, ``sorted_terms()``,
+  ``degree_in``, evaluation and printing take and give tuples.
 * ``MultiPoly`` maps monomials to nonzero exact rational coefficients; the
   zero polynomial has an empty term map.  Integral coefficients are stored
   as plain int (hash- and equality-compatible with Fraction, and much
@@ -105,17 +118,49 @@ def check_k(a: int, b: int) -> None:
         raise DimensionMismatchError(f"mixed variable counts: {a} vs {b}")
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+# Packed keys: a field of _W bits per exponent under a field for the total
+# degree; degrees (so exponents) stay below _LIMIT, which keeps the top bit
+# of every field clear.
+_W = 32
+_FIELD = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+def _degree_limit(deg: int) -> ValueError:
+    return ValueError(f"total degree {deg} exceeds the exponent limit {_LIMIT - 1}")
 
 
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+def _pack(k: int, mono: Monomial) -> int:
+    """The packed key of a checked exponent tuple."""
+    deg = sum(mono)
+    if deg >= _LIMIT:
+        raise _degree_limit(deg)
+    key = deg
+    for e in mono:
+        key = key << _W | e
+    return key
+
+
+def _unpack(k: int, key: int) -> Monomial:
+    return tuple((key >> (k - 1 - i) * _W) & _FIELD for i in range(k))
+
+
+def _field(k: int, var: int) -> int:
+    """Bit offset of variable var's exponent in a packed key."""
+    if not 0 <= var < k:
+        raise ValueError(f"variable index {var} out of range for k={k}")
+    return (k - 1 - var) * _W
+
+
+def _unit(k: int, var: int) -> int:
+    """The packed key of t_var, degree field included."""
+    return 1 << k * _W | 1 << _field(k, var)
+
+
+def _guard(k: int) -> int:
+    """The top bit of every exponent field: a key difference m - d has none
+    of them set exactly when d divides m."""
+    return ((1 << k * _W) - 1) // _FIELD << (_W - 1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -163,23 +208,27 @@ def _power(base, n: int, one):
 
 
 def sparse_product(self, other):
-    """``__mul__``/``__rmul__`` of a term-map class: the sparse product with
-    a value of the same class, ``scale`` by one of the class's ``_scalars``."""
+    """``__mul__``/``__rmul__`` of a ``PackedKeys`` class: the sparse product
+    with a value of the same class, ``scale`` by one of the class's
+    ``_scalars``."""
     if isinstance(other, self._scalars):
         return self.scale(other)
     if type(other) is not type(self):
         return NotImplemented
     check_k(self.k, other.k)
-    if not self.terms or not other.terms:
+    a, b = self.terms, other.terms
+    if not a or not b:
         return self.zero(self.k)
+    top = (max(a) + max(b)) >> self.k * _W
+    if top >= _LIMIT:
+        raise _degree_limit(top)
     # iterate over the smaller operand outside
-    a, b = (self.terms, other.terms)
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = _mono_mul(ma, mb)
+            mono = ma + mb
             s = out.get(mono, 0) + ca * cb
             if s:
                 out[mono] = s
@@ -192,13 +241,23 @@ class TermMap:
     """Shared core of a sparse map from multi-indices of length k to nonzero
     coefficients: validation, immutability, linear structure, equality,
     hashing and evaluation.  A subclass coerces coefficients through
-    ``_coeff(k, c)`` and names its index in error messages through
-    ``_index_word``.  Operations are type-strict: values of two different
-    subclasses never add or compare equal."""
+    ``_coeff(k, c)``, stores a checked exponent tuple as the key
+    ``_key(k, mono)`` and reads it back with ``_mono(k, key)`` (the tuple
+    itself here, a packed int in ``PackedKeys``), and names its index in
+    error messages through ``_index_word``.  Operations are type-strict:
+    values of two different subclasses never add or compare equal."""
 
     __slots__ = ("k", "terms", "_hash")
 
     _index_word = "multi-index"
+
+    @staticmethod
+    def _key(k: int, mono: Monomial):
+        return mono
+
+    @staticmethod
+    def _mono(k: int, key) -> Monomial:
+        return key
 
     def __init__(self, k: int, terms: Mapping[Monomial, object] | None = None):
         if k < 0:
@@ -211,7 +270,7 @@ class TermMap:
                     raise ValueError(f"bad {self._index_word} {mono} for k={k}")
                 c = self._coeff(k, c)
                 if c:
-                    clean[mono] = c
+                    clean[self._key(k, mono)] = c
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -241,7 +300,7 @@ class TermMap:
         """Largest |a| carrying a nonzero coefficient; -1 when empty."""
         if not self.terms:
             return -1
-        return max(sum(a) for a in self.terms)
+        return max(sum(self._mono(self.k, a)) for a in self.terms)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -279,15 +338,25 @@ class TermMap:
                 f"point has {len(point)} entries, expected {self.k}"
             )
         total = zero
-        for mono, c in self.terms.items():
-            for e, v in zip(mono, point):
+        for key, c in self.terms.items():
+            for e, v in zip(self._mono(self.k, key), point):
                 if e:
                     c = c * v**e
             total = total + c
         return total
 
 
-class MultiPoly(TermMap):
+class PackedKeys:
+    """Mixin for a term-map class whose ``*`` is ``sparse_product``: its keys
+    are packed monomials (see the module docstring)."""
+
+    __slots__ = ()
+
+    _key = staticmethod(_pack)
+    _mono = staticmethod(_unpack)
+
+
+class MultiPoly(PackedKeys, TermMap):
     """Sparse polynomial in k variables with rational coefficients."""
 
     __slots__ = ()
@@ -303,11 +372,11 @@ class MultiPoly(TermMap):
     @classmethod
     def const(cls, k: int, value) -> "MultiPoly":
         c = _as_coeff(value)
-        return cls._raw(k, {(0,) * k: c} if c else {})
+        return cls._raw(k, {0: c} if c else {})
 
     @classmethod
     def variable(cls, k: int, index: int) -> "MultiPoly":
-        return cls._raw(k, {unit_index(k, index): 1})
+        return cls._raw(k, {_unit(k, index): 1})
 
     @classmethod
     def monomial(cls, k: int, exponents: Sequence[int], coef=1) -> "MultiPoly":
@@ -317,7 +386,7 @@ class MultiPoly(TermMap):
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.k in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     @property
     def is_monomial(self) -> bool:
@@ -326,26 +395,27 @@ class MultiPoly(TermMap):
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return Fraction(self.terms.get((0,) * self.k, 0))
+        return Fraction(self.terms.get(0, 0))
 
     total_degree = TermMap.degree
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
+        s = _field(self.k, var)
         if not self.terms:
             return -1
-        return max(m[var] for m in self.terms)
+        return max((m >> s) & _FIELD for m in self.terms)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """(monomial, coefficient) that is largest in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=grlex_key)
-        return mono, self.terms[mono]
+        mono = max(self.terms)
+        return _unpack(self.k, mono), self.terms[mono]
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return [(_unpack(self.k, m), self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
     # -- ring operations ---------------------------------------------------
 
@@ -387,14 +457,13 @@ class MultiPoly(TermMap):
     def partial(self, var: int) -> "MultiPoly":
         """Partial derivative with respect to variable `var`."""
         # lowering one exponent is injective, so no two terms collide
-        return MultiPoly._raw(
-            self.k,
-            {
-                mono_set(m, var, m[var] - 1): c * m[var]
-                for m, c in self.terms.items()
-                if m[var]
-            },
-        )
+        s, u = _field(self.k, var), _unit(self.k, var)
+        out = {}
+        for m, c in self.terms.items():
+            e = (m >> s) & _FIELD
+            if e:
+                out[m - u] = c * e
+        return MultiPoly._raw(self.k, out)
 
     def __call__(self, point: Sequence) -> Fraction:
         return self._at([_as_fraction(v) for v in point], Fraction(0))
@@ -410,25 +479,28 @@ class MultiPoly(TermMap):
             return self
         if divisor.is_constant:
             return self.scale(1 / divisor.constant_value())
+        guard = _guard(self.k)
         if divisor.is_monomial:
             dm, dc = next(iter(divisor.terms.items()))
             out = {}
             for mono, coef in self.terms.items():
-                if not _mono_divides(dm, mono):
+                qm = mono - dm
+                if qm & guard:
                     raise ValueError("not exactly divisible")
-                out[_mono_div(mono, dm)] = _coeff_div(coef, dc)
+                out[qm] = _coeff_div(coef, dc)
             return MultiPoly._raw(self.k, out)
-        dm, dc = divisor.leading_term()
+        dm = max(divisor.terms)
+        dc = divisor.terms[dm]
         rem = dict(self.terms)
-        quot: dict[Monomial, Fraction] = {}
+        quot: dict[int, Fraction] = {}
         while rem:
-            mono = max(rem, key=grlex_key)
-            if not _mono_divides(dm, mono):
+            mono = max(rem)
+            qm = mono - dm
+            if qm & guard:
                 raise ValueError("not exactly divisible")
-            qm = _mono_div(mono, dm)
             qc = _coeff_div(rem[mono], dc)
             quot[qm] = qc
-            add_terms(rem, ((_mono_mul(m, qm), -c * qc) for m, c in divisor.terms.items()))
+            add_terms(rem, ((m + qm, -c * qc) for m, c in divisor.terms.items()))
         return MultiPoly._raw(self.k, quot)
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -451,8 +523,7 @@ class MultiPoly(TermMap):
             num_gcd = math.gcd(num_gcd, abs(coef.numerator))
             den_lcm = den_lcm * coef.denominator // math.gcd(den_lcm, coef.denominator)
         content = Fraction(num_gcd, den_lcm)
-        _, lead = self.leading_term()
-        return content if lead > 0 else -content
+        return content if self.terms[max(self.terms)] > 0 else -content
 
     def primitive(self) -> "MultiPoly":
         """Integer-primitive associate with positive leading coefficient."""
@@ -503,20 +574,20 @@ class MultiPoly(TermMap):
 
 
 def _vars_present(p: MultiPoly) -> set[int]:
-    out: set[int] = set()
+    bits = 0
     for mono in p.terms:
-        for i, e in enumerate(mono):
-            if e:
-                out.add(i)
-    return out
+        bits |= mono
+    return {v for v in range(p.k) if (bits >> _field(p.k, v)) & _FIELD}
 
 
 def _coeffs_wrt(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
     """View p as univariate in variable v: exponent -> coefficient polynomial
     (with the v-exponent zeroed in the coefficient's monomials)."""
-    slices: dict[int, dict[Monomial, Fraction]] = {}
+    s, u = _field(p.k, v), _unit(p.k, v)
+    slices: dict[int, dict[int, Fraction]] = {}
     for mono, coef in p.terms.items():
-        slices.setdefault(mono[v], {})[mono_set(mono, v, 0)] = coef
+        e = (mono >> s) & _FIELD
+        slices.setdefault(e, {})[mono - e * u] = coef
     return {e: MultiPoly._raw(p.k, t) for e, t in slices.items()}
 
 
@@ -533,10 +604,11 @@ def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     lcb = _lead_wrt(b, v)
     r = a
     n = a.degree_in(v) - db + 1
+    u = _unit(a.k, v)
     while not r.is_zero and r.degree_in(v) >= db:
         lcr = _lead_wrt(r, v)
-        x_e = mono_set(zero_index(a.k), v, r.degree_in(v) - db)
-        r = r * lcb - lcr * MultiPoly.monomial(a.k, x_e) * b
+        x_e = (r.degree_in(v) - db) * u
+        r = r * lcb - lcr * MultiPoly._raw(a.k, {x_e: 1}) * b
         n -= 1
     if n > 0:
         r = r * lcb**n
@@ -566,15 +638,18 @@ def _eval_var(p: MultiPoly, v: int, xi: int) -> MultiPoly:
     powers = [1] * (p.degree_in(v) + 1)
     for e in range(1, len(powers)):
         powers[e] = powers[e - 1] * xi
-    return MultiPoly._raw(
-        p.k,
-        add_terms({}, ((mono_set(m, v, 0), c * powers[m[v]]) for m, c in p.terms.items())),
-    )
+    s, u = _field(p.k, v), _unit(p.k, v)
+    items = []
+    for m, c in p.terms.items():
+        e = (m >> s) & _FIELD
+        items.append((m - e * u, c * powers[e]))
+    return MultiPoly._raw(p.k, add_terms({}, items))
 
 
 def _interpolate_var(g: MultiPoly, v: int, xi: int) -> MultiPoly:
     """Invert _eval_var: read balanced base-xi digits off the coefficients."""
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[int, Fraction] = {}
+    u = _unit(g.k, v)
     half = xi // 2
     e = 0
     current = {m: c for m, c in g.terms.items()}
@@ -585,7 +660,7 @@ def _interpolate_var(g: MultiPoly, v: int, xi: int) -> MultiPoly:
             if digit > half:
                 digit -= xi
             if digit:
-                terms[mono_set(mono, v, e)] = digit
+                terms[mono + e * u] = digit
             rest = (c - digit) // xi
             if rest:
                 nxt[mono] = rest
@@ -672,11 +747,13 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.terms == b.terms:
         return a.primitive()
     if a.is_monomial or b.is_monomial:
-        mono, other = (a, b) if a.is_monomial else (b, a)
-        shared = next(iter(mono.terms))
-        for m in other.terms:
-            shared = tuple(min(x, y) for x, y in zip(shared, m))
-        return MultiPoly.monomial(a.k, shared)
+        # the gcd is the monomial of the least exponent of each variable
+        keys = [*a.terms, *b.terms]
+        shared = 0
+        for v in range(a.k):
+            s = _field(a.k, v)
+            shared += min((m >> s) & _FIELD for m in keys) * _unit(a.k, v)
+        return MultiPoly._raw(a.k, {shared: 1})
     # drop rational content up front: the result is primitive either way and
     # everything downstream then runs on integer coefficients
     a = a.primitive()
@@ -953,7 +1030,7 @@ class RatFunc:
 def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Scale num/den so that den (nonzero) is monic in graded-lex order; a
     constant den becomes 1."""
-    _, lead = den.leading_term()
+    lead = den.terms[max(den.terms)]
     if lead != 1:
         inv = Fraction(1) / lead
         num = num.scale(inv)
@@ -983,7 +1060,10 @@ class RatFuncTerms(TermMap):
 
     def sorted_terms(self) -> list[tuple[Monomial, RatFunc]]:
         """Terms in ascending graded-lex order of the index."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return sorted(
+            ((self._mono(self.k, a), c) for a, c in self.terms.items()),
+            key=lambda kv: grlex_key(kv[0]),
+        )
 
     def scale(self, c):
         c = as_ratfunc(self.k, c)

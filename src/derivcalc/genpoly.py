@@ -30,6 +30,7 @@ from .exactnum import (
     DimensionMismatchError,
     Monomial,
     MultiPoly,
+    PackedKeys,
     RatFunc,
     RatFuncTerms,
     add_terms,
@@ -45,7 +46,7 @@ from .leibniz import CheckResult
 SemigroupMap = Callable[[RatFunc], RatFunc]
 
 
-class ExpPoly(RatFuncTerms):
+class ExpPoly(PackedKeys, RatFuncTerms):
     """Polynomial in the integer exponent variables i1..ik with coefficients
     in Q(t1..tk)."""
 
@@ -205,7 +206,7 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
                 for picks in product(*factors)
             ),
         )
-    return ExpPoly._raw(k, out)
+    return ExpPoly(k, out)
 
 
 def expoly_degree(p: ExpPoly) -> int:

@@ -157,7 +157,7 @@ def newton_coeffs(
         raise IncompleteGridError("empty grid")
     some = next(iter(p_values))
     k = len(some)
-    n = max(max(idx) for idx in p_values) if p_values else 0
+    n = max(max(idx, default=0) for idx in p_values)
     if any(_cube_gaps(p_values, k, n)):
         raise IncompleteGridError(f"grid must be the full cube {{0..{n}}}^{k}")
     out: dict[Monomial, RatFunc] = {}

@@ -360,6 +360,46 @@ def test_cli_reconstruct(capsys):
     assert "operator: d[2]" in out
 
 
+def test_cli_reconstruct_grid_over_no_variables(capsys):
+    # the one node of {0..n}^0 is (), spelled ""
+    for n in (0, 1):
+        grid = json.dumps({"k": 0, "n": n, "values": {"": "1"}})
+        assert run_cli(capsys, "reconstruct", "--grid", grid) == (
+            0, "operator: (1)\ndegree: 0\n", ""
+        )
+    code, _, err = run_cli(capsys, "reconstruct", "--grid", '{"k":1,"n":0,"values":{"":"1"}}')
+    assert code == 2 and "bad grid index ''" in err
+
+
+def test_cli_exponent_limit_is_a_usage_error(capsys):
+    # total degrees must stay below 2^31; past it the input is refused
+    for power in ("2147483648", "3000000000"):
+        code, out, err = run_cli(
+            capsys, "apply", "--k", "1", "--op", "d[1]", "--expr", f"t1^{power}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: total degree") and "exponent limit 2147483647" in err
+    code, out, _ = run_cli(capsys, "apply", "--k", "1", "--op", "d[1]", "--expr", "t1^2147483647")
+    assert (code, out) == (0, "result: 2147483647*t1^2147483646\n")
+
+
+def test_cli_huge_integer_literal_is_a_parse_error(capsys):
+    digits = "9" * 5000
+    limit = f"integer literal of 5000 digits is longer than the {sys.get_int_max_str_digits()}-digit limit"
+    cases = [
+        (("fit", "--k", "1", "--n", "1", "--table", '{"t1":"%s"}' % digits), f"{limit} (at offset 0)"),
+        (("apply", "--k", "1", "--op", "d[1]", "--expr", f"t1 + {digits}"), f"{limit} (at offset 5)"),
+        (("fit", "--k", "1", "--n", "1", "--table", '{"t1":%s}' % digits), f"table value 't1': {limit}"),
+        (("fit", "--k", "1", "--n", "1", "--table", '{"t1":-%s}' % digits), f"table value 't1': {limit}"),
+        (("recurrence", "--coeffs", "[%s]" % digits, "--seq", '["1"]'), f"array item 0: {limit}"),
+        (("reconstruct", "--grid", '{"k":1,"n":%s,"values":{}}' % digits), f'grid "n": {limit}'),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"parse error: {message}"), (argv, err)
+
+
 def test_cli_reconstruct_overflow(capsys):
     # values of d1 o d2 on the {0,1}^2 grid under bound n=1
     grid = json.dumps(

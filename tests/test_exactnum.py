@@ -1,6 +1,7 @@
 """Exact arithmetic: canonical forms, gcd, evaluation, and ring laws."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,10 +261,149 @@ def test_term_map_validation_and_immutability():
         with pytest.raises(ValueError, match="variable count"):
             cls(-1)
         value = cls(2, {(1, 0): 2, (0, 1): 0})
-        assert list(value.terms) == [(1, 0)]
+        assert [m for m, _ in value.sorted_terms()] == [(1, 0)]
         assert {value, cls(2, {(1, 0): 2})} == {value}
         with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             value.k = 3
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials against a tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+LIMIT = 2**31  # documented exponent limit: total degrees stay below it
+
+
+def _grlex(mono):
+    return (sum(mono), mono)
+
+
+def _ref_terms(ref):
+    """Reference term list, descending graded-lex."""
+    return sorted(ref.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_div(a, b):
+    """Exact quotient a/b by graded-lex long division, or None."""
+    rem, quot = dict(a), {}
+    dm = max(b, key=_grlex)
+    while rem:
+        m = max(rem, key=_grlex)
+        if any(x < y for x, y in zip(m, dm)):
+            return None
+        q = {tuple(x - y for x, y in zip(m, dm)): rem[m] / b[dm]}
+        quot.update(q)
+        for mm, c in _ref_mul(q, b).items():
+            rem[mm] = rem.get(mm, 0) - c
+            if not rem[mm]:
+                del rem[mm]
+    return quot
+
+
+def _ref_str(ref):
+    chunks = []
+    for m, c in _ref_terms(ref):
+        body = "*".join(f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(m) if e)
+        mag = abs(c)
+        text = f"{mag}*{body}" if body and mag != 1 else body or str(mag)
+        sign = ("-" if c < 0 else "") if not chunks else ("- " if c < 0 else "+ ")
+        chunks.append(sign + text)
+    return " ".join(chunks) or "0"
+
+
+def _ref_polys(k, exponents, max_size=4):
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.dictionaries(st.tuples(*[exponents] * k), coeffs, max_size=max_size)
+
+
+def _check_against_ref(p, ref):
+    k = p.k
+    assert p.sorted_terms() == _ref_terms(ref)
+    assert str(p) == _ref_str(ref)
+    assert p.total_degree == max((sum(m) for m in ref), default=-1)
+    for v in range(k):
+        assert p.degree_in(v) == max((m[v] for m in ref), default=-1)
+    if ref:
+        assert p.leading_term() == _ref_terms(ref)[0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_packed_monomials_match_a_tuple_reference(data):
+    k = data.draw(st.integers(0, 3), label="k")
+    # exponents near LIMIT / (2k): a product of two monomials lands on
+    # either side of the limit, a single one stays below it
+    big = LIMIT // (2 * max(k, 1))
+    near = st.sampled_from([0, 1, 2, big - 1, big, big + 1])
+    a, b = data.draw(_ref_polys(k, near)), data.draw(_ref_polys(k, near))
+    A, B = MultiPoly(k, a), MultiPoly(k, b)
+    _check_against_ref(A, a)
+    for v in range(k):
+        da = {}
+        for m, c in a.items():
+            if m[v]:
+                da[m[:v] + (m[v] - 1,) + m[v + 1:]] = c * m[v]
+        _check_against_ref(A.partial(v), da)
+    if a and b and max(map(sum, a)) + max(map(sum, b)) >= LIMIT:
+        with pytest.raises(ValueError, match="exponent limit"):
+            A * B
+    else:
+        ab = _ref_mul(a, b)
+        _check_against_ref(A * B, ab)
+        if b:
+            assert (A * B).exact_div(B) == A
+    # a monomial divisor: the borrow guard on every field, near the limit
+    dm = data.draw(st.tuples(*[near] * k))
+    D = MultiPoly.monomial(k, dm)
+    if all(all(x >= y for x, y in zip(m, dm)) for m in a):
+        _check_against_ref(A.exact_div(D), _ref_div(a, {dm: 1}))
+    else:
+        with pytest.raises(ValueError, match="not exactly divisible"):
+            A.exact_div(D)
+    # small exponents for long division, gcd and evaluation
+    small = st.integers(0, 3)
+    c, d = data.draw(_ref_polys(k, small)), data.draw(_ref_polys(k, small, 3))
+    C, Dv = MultiPoly(k, c), MultiPoly(k, d)
+    if d:
+        q = _ref_div(c, d)
+        if q is None:
+            with pytest.raises(ValueError, match="not exactly divisible"):
+                C.exact_div(Dv)
+        else:
+            _check_against_ref(C.exact_div(Dv), q)
+    if not (C.is_constant or Dv.is_constant or C.is_monomial or Dv.is_monomial or C == Dv):
+        assert poly_gcd(C, Dv) == exactnum._prs_gcd(C.primitive(), Dv.primitive())
+    point = data.draw(st.tuples(*[st.integers(-3, 3)] * k))
+    assert C(point) == sum(
+        (co * math.prod(x**e for x, e in zip(point, m)) for m, co in c.items()), Fraction(0)
+    )
+
+
+def test_exponent_limit():
+    big = MultiPoly.monomial(1, (LIMIT - 1,))
+    assert big.leading_term() == ((LIMIT - 1,), 1)
+    for exponents in ((LIMIT,), (LIMIT // 2, LIMIT // 2)):
+        with pytest.raises(ValueError, match="exponent limit"):
+            MultiPoly.monomial(len(exponents), exponents)
+    half = MultiPoly.monomial(2, (LIMIT // 4, LIMIT // 4))
+    assert (half * t(2, 0) ** 3).degree_in(0) == LIMIT // 4 + 3
+    # a product whose degree crosses the limit never carries into the next field
+    for a, b in ((half, half), (big, t()), (t(), big)):
+        with pytest.raises(ValueError, match="exponent limit"):
+            a * b
+    with pytest.raises(ValueError, match="exponent limit"):
+        t() ** LIMIT
+    with pytest.raises(ValueError, match="exponent limit"):
+        ExpPoly(1, {(LIMIT,): RatFunc.one(1)})
 
 
 def test_no_module_imports_private_exactnum_names():
@@ -280,6 +420,12 @@ def test_no_module_imports_private_exactnum_names():
                 offenders += [
                     f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")
                 ]
+            # and no attribute access such as ``exactnum._pack``
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name == "exactnum":
+                    offenders.append(f"{path.name}: exactnum.{node.attr}")
     assert offenders == []
 
 

@@ -114,6 +114,14 @@ def test_reconstruct_zero_grid():
     assert reconstruct_operator(grid).is_zero
 
 
+def test_reconstruct_grid_over_no_variables():
+    # {0..n}^0 is the one node (): a constant multiple of the identity
+    for n in (0, 2):
+        grid = GridValues(0, n, {(): RatFunc.const(0, 3)})
+        assert reconstruct_operator(grid) == DiffOp(0, {(): 3})
+    assert GridValues.tabulate(DiffOp(0, {(): 3}), 1).values == {(): RatFunc.const(0, 3)}
+
+
 def test_round_trip_random_operators():
     rng = Random(89)
     for _ in range(20):
