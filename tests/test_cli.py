@@ -178,6 +178,26 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+_GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+
+
+def test_cli_golden_corpus(capsys, monkeypatch):
+    """Every subcommand and every exit path, plain and with --json, against
+    the exit code, stdout and stderr recorded in cli_golden.json.  A null
+    stderr marks an argparse usage error, whose text differs between Python
+    versions: only its exit code and its empty stdout are pinned."""
+    with open(_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        monkeypatch.delenv("DERIVCALC_SEED", raising=False)
+        for name, value in case.get("env", {}).items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *case["argv"])
+        if case["stderr"] is None:
+            err = None
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_cli_order(capsys):
     code, out, _ = run_cli(capsys, "order", "--k", "1", "--op", "d[2]")
     assert code == 0
