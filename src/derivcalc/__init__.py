@@ -9,15 +9,12 @@ counterexample fixtures, all exposed through the ``derivcalc`` CLI.
 """
 
 from .exactnum import (
-    BigRational,
     DimensionMismatchError,
     GF2Poly,
     MultiPoly,
     PoleError,
     RatFunc,
-    evaluate,
     poly_gcd,
-    ratfunc_normalize,
 )
 from .deriv import (
     Derivation,
@@ -26,7 +23,6 @@ from .deriv import (
     apply_derivation,
     apply_diffop,
     compose,
-    degree,
     normalize,
 )
 from .leibniz import (
@@ -84,7 +80,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BigRational",
     "CheckResult",
     "DegreeOverflowError",
     "Derivation",
@@ -111,10 +106,8 @@ __all__ = [
     "check_recurrence",
     "compose",
     "defect",
-    "degree",
     "degree_bump",
     "delta",
-    "evaluate",
     "exponent_polynomial",
     "expoly_degree",
     "fit_operator",
@@ -131,7 +124,6 @@ __all__ = [
     "parse_word",
     "poly_gcd",
     "product_ring_demo",
-    "ratfunc_normalize",
     "reconstruct_operator",
     "theorem2_demo",
 ]

@@ -19,6 +19,17 @@ Exit codes: 0 success, 1 mathematical infeasibility or a failed check
 (witness printed), 2 usage or parse errors, 3 an internal error (a bug; the
 message names the exception), 141 standard output closed early (as by
 ``| head``).  Run it as ``derivcalc`` or ``python -m derivcalc.cli``.
+
+Each command returns ``(ok, record)``: whether its check passed, and its
+result as an ordered list of ``(key, line, value)`` fields, so that each fact
+is stated once.  ``_render`` prints the record in one of two forms.  With
+``--json`` it is an indented object of the keyed fields in order: field
+elements and operators become exact strings, while bools, ints (counts and
+indices), None, and lists and dicts of them stay as they are; nothing is a
+float.  As text it is each field's ``line``, a format template that receives
+the value: a dict value by name, a bool as ``true``/``false``, a list joined
+by ``"; "``.  A field without a line is JSON only; one without a key is text
+only.
 """
 
 from __future__ import annotations
@@ -32,9 +43,9 @@ from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
-from .exactnum import GF2Poly, PoleError, RatFunc, add_terms, zero_index
+from .exactnum import DimensionMismatchError, GF2Poly, PoleError, RatFunc, add_terms, zero_index
 from .deriv import Derivation, DiffOp, OpWord, compose, normalize
-from .genpoly import exponent_polynomial, expoly_degree, gp_degree_check, over_identity
+from .genpoly import exponent_polynomial, gp_degree_check, over_identity
 from .leibniz import MapTable, NotInO0Error, defect, nested_defect, order_exact
 from .reconstruct import (
     DegreeOverflowError,
@@ -369,12 +380,16 @@ def parse_grid_json(raw: str) -> GridValues:
         raise ExprSyntaxError('grid "values" must be a JSON object', 0)
     k, n = data["k"], data["n"]
     values = {}
+    spelled = {}
     for key, val in data["values"].items():
         try:
             # the one node of a grid over no variables, (), is spelled ""
             idx = tuple(int(part) for part in key.split(",")) if key or k else ()
         except ValueError:
             raise ExprSyntaxError(f"bad grid index {key!r}", 0)
+        if idx in spelled:  # as "0" and "00": neither value may silently win
+            raise ExprSyntaxError(f"grid index {key!r} names the node {spelled[idx]!r} again", 0)
+        spelled[idx] = key
         # its values are constants, so a grid may have k = 0
         values[idx] = _json_expr(val, f"grid value {key!r}", k, least_k=0)
     return GridValues(k, n, values)
@@ -392,27 +407,42 @@ def parse_exprs_json(raw: str, k: int) -> list[RatFunc]:
 # ---------------------------------------------------------------------------
 
 
-class MathFailure(Exception):
-    """A well-posed computation with a negative mathematical outcome."""
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return "; ".join(map(str, value))
+    return str(value)
 
-    def __init__(self, payload: dict, lines: list[str]):
-        self.payload = payload
-        self.lines = lines
-        super().__init__(lines[0] if lines else "failed")
+
+def _plain(value):
+    """A field value as JSON: exact strings for field elements and
+    operators; bools, ints and None as they are."""
+    if value is None or isinstance(value, int):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return str(value)
+
+
+def _render(record: list, as_json: bool) -> str:
+    """One command result, as indented JSON of its keyed fields or as the
+    text lines of its fields that have one."""
+    if as_json:
+        return json.dumps({key: _plain(v) for key, _, v in record if key is not None}, indent=2)
+    return "\n".join(
+        line.format(**{n: _text(v) for n, v in value.items()})
+        if isinstance(value, dict)
+        else line.format(_text(value))
+        for _, line, value in record
+        if line is not None
+    )
 
 
 def _operator_out(op: DiffOp):
-    return {"operator": str(op), "degree": op.degree}, [
-        f"operator: {op}",
-        f"degree: {op.degree}",
-    ]
-
-
-def _checked(ok: bool, payload: dict, lines: list[str]):
-    """The command result, or a MathFailure carrying it when the check failed."""
-    if not ok:
-        raise MathFailure(payload, lines)
-    return payload, lines
+    return True, [("operator", "operator: {}", op), ("degree", "degree: {}", op.degree)]
 
 
 def _operator_from_args(args) -> DiffOp:
@@ -430,7 +460,7 @@ def _cmd_apply(args, seed):
         result = parse_derivation(args.deriv, k)(f)
     else:
         result = _operator_from_args(args)(f)
-    return {"result": str(result)}, [f"result: {result}"]
+    return True, [("result", "result: {}", result)]
 
 
 def _cmd_normalize(args, seed):
@@ -443,10 +473,8 @@ def _cmd_compose(args, seed):
 
 def _cmd_order(args, seed):
     op = _operator_from_args(args)
-    n = order_exact(op)
-    payload = {"order": n, "zero_map": op.is_zero}
-    line = f"order: {n} (zero map)" if op.is_zero else f"order: {n}"
-    return payload, [line]
+    line = "order: {} (zero map)" if op.is_zero else "order: {}"
+    return True, [("order", line, order_exact(op)), ("zero_map", None, op.is_zero)]
 
 
 def _cmd_defect(args, seed):
@@ -455,7 +483,7 @@ def _cmd_defect(args, seed):
     x = parse_expr(args.x, k)
     ys = [parse_expr(y, k) for y in args.y]
     value = nested_defect(op, x, ys) if len(ys) > 1 else defect(op, x, ys[0])
-    return {"defect": str(value), "nesting": len(ys)}, [f"defect: {value}"]
+    return True, [("defect", "defect: {}", value), ("nesting", None, len(ys))]
 
 
 def _cmd_gpdeg(args, seed):
@@ -472,63 +500,49 @@ def _cmd_gpdeg(args, seed):
     else:
         points = [random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(2)]
     res = gp_degree_check(f, args.n, increments, points)
-    payload = {"pass": res.ok, "reason": res.reason}
-    lines = [f"pass: {str(res.ok).lower()}", f"reason: {res.reason}"]
+    record = [("pass", "pass: {}", res.ok), ("reason", "reason: {}", res.reason)]
     if not res.ok:
         gs, x = res.witness
-        payload["witness"] = {
-            "increments": [str(g) for g in gs],
-            "point": str(x),
-            "value": str(res.value),
-        }
-        lines.append(f"witness increments: {'; '.join(str(g) for g in gs)}")
-        lines.append(f"witness point: {x}")
-        lines.append(f"witness value: {res.value}")
-    return _checked(res.ok, payload, lines)
+        record.append((
+            "witness",
+            "witness increments: {increments}\nwitness point: {point}\nwitness value: {value}",
+            {"increments": gs, "point": x, "value": res.value},
+        ))
+    return res.ok, record
 
 
 def _cmd_expoly(args, seed):
-    op = _operator_from_args(args)
-    p = exponent_polynomial(op)
-    return {"exponent_polynomial": str(p), "degree": expoly_degree(p)}, [
-        f"exponent polynomial: {p}",
-        f"degree: {expoly_degree(p)}",
+    p = exponent_polynomial(_operator_from_args(args))
+    return True, [
+        ("exponent_polynomial", "exponent polynomial: {}", p),
+        ("degree", "degree: {}", p.degree),
     ]
 
 
 def _cmd_reconstruct(args, seed):
     grid = parse_grid_json(args.grid)
     try:
-        op = reconstruct_operator(grid)
+        return _operator_out(reconstruct_operator(grid))
     except DegreeOverflowError as exc:
-        payload = {
-            "degree_overflow": True,
-            "offending": [",".join(map(str, j)) for j in exc.offending],
-        }
-        raise MathFailure(
-            payload,
-            ["degree overflow: data inconsistent with the bound",
-             f"offending indices: {payload['offending']}"],
-        )
-    return _operator_out(op)
+        offending = [",".join(map(str, j)) for j in exc.offending]
+        return False, [
+            ("degree_overflow", "degree overflow: data inconsistent with the bound", True),
+            ("offending", None, offending),
+            (None, "offending indices: {}", repr(offending)),
+        ]
 
 
 def _cmd_fit(args, seed):
     table = parse_table_json(args.table, args.k)
     res = fit_operator(table, args.n, require_o0=args.require_o0)
     if not res.ok:
-        payload = {"infeasible": True, "row": res.inconsistent_row}
-        raise MathFailure(
-            payload,
-            ["infeasible", f"inconsistent row: {res.inconsistent_row}"],
-        )
-    payload = {
-        "operator": str(res.operator),
-        "solution_dim": res.solution_dim,
-    }
-    return payload, [
-        f"operator: {res.operator}",
-        f"solution dimension: {res.solution_dim}",
+        return False, [
+            ("infeasible", "infeasible", True),
+            ("row", "inconsistent row: {}", res.inconsistent_row),
+        ]
+    return True, [
+        ("operator", "operator: {}", res.operator),
+        ("solution_dim", "solution dimension: {}", res.solution_dim),
     ]
 
 
@@ -537,11 +551,10 @@ def _cmd_recurrence(args, seed):
     coeffs = parse_exprs_json(args.coeffs, k)
     seq = parse_exprs_json(args.seq, k)
     res = check_recurrence(RecurrenceSpec(tuple(coeffs), tuple(seq)))
-    payload = {"pass": res.ok, "first_failure": res.first_failure}
-    lines = [f"pass: {str(res.ok).lower()}"]
-    if not res.ok:
-        lines.append(f"first failure at index: {res.first_failure}")
-    return _checked(res.ok, payload, lines)
+    return res.ok, [
+        ("pass", "pass: {}", res.ok),
+        ("first_failure", None if res.ok else "first failure at index: {}", res.first_failure),
+    ]
 
 
 def _cmd_demo(args, seed):
@@ -549,42 +562,34 @@ def _cmd_demo(args, seed):
         rep = char2_order_check()
         comp = char2_compose_check(GF2Poly.one())
         wx, wy, wb = rep.derivation_witness
-        payload = {
-            "d_of_x": str(rep.d_of_x),
-            "d_of_x2": str(rep.d_of_x2),
-            "additive": rep.additive_ok,
-            "defects2_vanish": rep.defects2_vanish,
-            "derivation_witness": {"x": str(wx), "y": str(wy), "defect": str(wb)},
-            "compose_collapse": comp.ok,
-        }
-        lines = [
-            f"D(x) = {rep.d_of_x}",
-            f"D(x^2) = {rep.d_of_x2}",
-            f"additive: {str(rep.additive_ok).lower()}",
-            f"2-fold defects vanish (degree <= {rep.max_degree}): "
-            f"{str(rep.defects2_vanish).lower()}",
-            f"not a derivation, witness: B({wx}, {wy}) = {wb}",
-            "composition of two derivations stays first order: "
-            f"{str(comp.ok).lower()}",
+        return rep.ok and comp.ok, [
+            ("d_of_x", "D(x) = {}", rep.d_of_x),
+            ("d_of_x2", "D(x^2) = {}", rep.d_of_x2),
+            ("additive", "additive: {}", rep.additive_ok),
+            (
+                "defects2_vanish",
+                f"2-fold defects vanish (degree <= {rep.max_degree}): {{}}",
+                rep.defects2_vanish,
+            ),
+            (
+                "derivation_witness",
+                "not a derivation, witness: B({x}, {y}) = {defect}",
+                {"x": wx, "y": wy, "defect": wb},
+            ),
+            ("compose_collapse", "composition of two derivations stays first order: {}", comp.ok),
         ]
-        return _checked(rep.ok and comp.ok, payload, lines)
     if args.which == "product-ring":
         rep = product_ring_demo()
-        payload = {
-            "leibniz": rep.leibniz_ok,
-            "composite_zero": rep.composite_zero_ok,
-            "d1_witness": str(rep.d1_nonzero_witness),
-            "d2_witness": str(rep.d2_nonzero_witness),
-        }
-        lines = [
-            f"component derivations satisfy the product rule: "
-            f"{str(rep.leibniz_ok).lower()}",
-            f"d1 o d2 = 0 on monomial pairs up to exponent {rep.max_exponent}: "
-            f"{str(rep.composite_zero_ok).lower()}",
-            f"d1 is nonzero: d1(x, 0) = {rep.d1_nonzero_witness}",
-            f"d2 is nonzero: d2(0, x) = {rep.d2_nonzero_witness}",
+        return rep.ok, [
+            ("leibniz", "component derivations satisfy the product rule: {}", rep.leibniz_ok),
+            (
+                "composite_zero",
+                f"d1 o d2 = 0 on monomial pairs up to exponent {rep.max_exponent}: {{}}",
+                rep.composite_zero_ok,
+            ),
+            ("d1_witness", "d1 is nonzero: d1(x, 0) = {}", rep.d1_nonzero_witness),
+            ("d2_witness", "d2 is nonzero: d2(0, x) = {}", rep.d2_nonzero_witness),
         ]
-        return _checked(rep.ok, payload, lines)
     # theorem2
     if args.derivations is not None:
         word = parse_word(args.derivations, args.k)
@@ -593,26 +598,21 @@ def _cmd_demo(args, seed):
         rng = Random(seed)
         derivations = [random_derivation(rng, args.k) for _ in range(args.n)]
     rep = theorem2_demo(derivations, seed=seed)
-    payload = {
-        "n": rep.n,
-        "degree": rep.degree,
-        "expoly_degree": rep.expoly_degree,
-        "vanish_ok": rep.vanish_ok,
-        "witness_found": rep.witness is not None,
-        "witness_tuples_tried": rep.witness_tuples_tried,
-        "operator": str(rep.operator),
-    }
-    lines = [
-        f"n: {rep.n}",
-        f"operator: {rep.operator}",
-        f"degree: {rep.degree}",
-        f"exponent polynomial degree: {rep.expoly_degree}",
-        f"{rep.n}-fold nested defects vanish: {str(rep.vanish_ok).lower()}",
-        f"({rep.n - 1})-fold nonvanishing witness found: "
-        f"{str(rep.witness is not None).lower()} "
-        f"({rep.witness_tuples_tried} tuples tried)",
+    n, tried = rep.n, rep.witness_tuples_tried
+    return rep.ok, [
+        ("n", "n: {}", n),
+        (None, "operator: {}", rep.operator),
+        ("degree", "degree: {}", rep.degree),
+        ("expoly_degree", "exponent polynomial degree: {}", rep.expoly_degree),
+        ("vanish_ok", f"{n}-fold nested defects vanish: {{}}", rep.vanish_ok),
+        (
+            "witness_found",
+            f"({n - 1})-fold nonvanishing witness found: {{}} ({tried} tuples tried)",
+            rep.witness is not None,
+        ),
+        ("witness_tuples_tried", None, tried),
+        ("operator", None, rep.operator),
     ]
-    return _checked(rep.ok, payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -741,14 +741,7 @@ def _run(argv) -> int:
             print("DERIVCALC_SEED must be an integer", file=sys.stderr)
             return 2
     try:
-        payload, lines = args.fn(args, seed)
-    except MathFailure as exc:
-        if args.json:
-            print(json.dumps(exc.payload, indent=2))
-        else:
-            for line in exc.lines:
-                print(line)
-        return 1
+        ok, record = args.fn(args, seed)
     except (NotInO0Error, PoleError) as exc:
         if args.json:
             print(json.dumps({"error": str(exc)}))
@@ -758,18 +751,19 @@ def _run(argv) -> int:
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except DimensionMismatchError as exc:
+        # each reader parses with the command's own k, so no input mixes
+        # variable counts: this is a bug, not a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    print(_render(record, args.json))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -88,14 +88,9 @@ class Derivation:
 
 
 class DiffOp(RatFuncTerms):
-    """Canonical differential operator: finite sum of c_a * d^a."""
+    """Canonical differential operator: finite sum of c_a * d^a (``terms`` maps a to c_a)."""
 
     __slots__ = ()
-
-    @property
-    def coeffs(self) -> dict[Monomial, RatFunc]:
-        """The term map a -> c_a (read-only by convention)."""
-        return self.terms
 
     @classmethod
     def identity(cls, k: int, coef=1) -> "DiffOp":
@@ -123,9 +118,6 @@ class DiffOp(RatFuncTerms):
 
     def __call__(self, f: RatFunc) -> RatFunc:
         return apply_diffop(self, f)
-
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        return compose(self, other)
 
 
 class OpWord:
@@ -167,7 +159,7 @@ class OpWord:
         check_k(self.k, other.k)
         return OpWord(self.k, list(self.words) + list(other.words))
 
-    def apply(self, f: RatFunc) -> RatFunc:
+    def __call__(self, f: RatFunc) -> RatFunc:
         """Apply directly, word by word, without normalizing first."""
         total = RatFunc.zero(self.k)
         for coef, word in self.words:
@@ -176,8 +168,6 @@ class OpWord:
                 g = apply_derivation(d, g)
             total = total + coef * g
         return total
-
-    __call__ = apply
 
     def __str__(self):
         if not self.words:
@@ -225,11 +215,11 @@ def _materialize_partial(cache: dict, alpha: Monomial) -> RatFunc:
 def apply_diffop(E: DiffOp, f: RatFunc) -> RatFunc:
     """sum_a c_a * d^a f, computed termwise with shared derivative chains."""
     check_k(E.k, f.k)
-    if not E.coeffs:
+    if not E.terms:
         return RatFunc.zero(f.k)
     cache: dict[Monomial, RatFunc] = {zero_index(E.k): f}
     total = RatFunc.zero(f.k)
-    for alpha, c in E.coeffs.items():
+    for alpha, c in E.terms.items():
         total = total + c * _materialize_partial(cache, alpha)
     return total
 
@@ -238,7 +228,7 @@ def _compose_partial(index: int, E: DiffOp) -> DiffOp:
     """d_index composed with E: commute the derivative past each coefficient,
     d_i (c d^b) = (d_i c) d^b + c d^(b + e_i)."""
     out: dict[Monomial, RatFunc] = {}
-    for beta, c in E.coeffs.items():
+    for beta, c in E.terms.items():
         up = mono_set(beta, index, beta[index] + 1)
         add_terms(out, ((beta, c.partial(index)), (up, c)))
     return DiffOp._raw(E.k, out)
@@ -252,7 +242,7 @@ def compose(E1: DiffOp, E2: DiffOp) -> DiffOp:
     """
     check_k(E1.k, E2.k)
     result = DiffOp.zero(E1.k)
-    for alpha, c in E1.coeffs.items():
+    for alpha, c in E1.terms.items():
         acc = E2
         for i, e in enumerate(alpha):
             for _ in range(e):
@@ -270,8 +260,3 @@ def normalize(w: OpWord) -> DiffOp:
             acc = compose(d.as_diffop(), acc)
         result = result + acc.scale(coef)
     return result
-
-
-def degree(E: DiffOp) -> int:
-    """Largest |a| with a nonzero coefficient; -1 for the zero operator."""
-    return E.degree

@@ -50,8 +50,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-BigRational = Fraction
-
 Monomial = tuple  # tuple[int, ...], one exponent per variable
 
 
@@ -396,8 +394,6 @@ class MultiPoly(PackedKeys, TermMap):
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return Fraction(self.terms.get(0, 0))
-
-    total_degree = TermMap.degree
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -1075,27 +1071,6 @@ class RatFuncTerms(TermMap):
         if not self.terms:
             return "0"
         return " + ".join(self._term_str(a, c) for a, c in self.sorted_terms())
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation surface
-# ---------------------------------------------------------------------------
-
-
-def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonical representative of num/den in Q(t1..tk).
-
-    Removes the polynomial gcd and makes the denominator monic under the
-    graded-lex order; idempotent.  Raises ZeroDivisionError for a zero
-    denominator.
-    """
-    return RatFunc(num, den)
-
-
-def evaluate(f: RatFunc, point: Sequence) -> Fraction:
-    """Exact value of f at a rational point; raises PoleError when the
-    (canonical) denominator vanishes there."""
-    return f(point)
 
 
 # ---------------------------------------------------------------------------

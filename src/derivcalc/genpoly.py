@@ -52,8 +52,6 @@ class ExpPoly(PackedKeys, RatFuncTerms):
 
     __slots__ = ()
 
-    total_degree = RatFuncTerms.degree
-
     @classmethod
     def const(cls, k: int, c) -> "ExpPoly":
         return cls(k, {zero_index(k): c})
@@ -193,7 +191,7 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
     """
     k = E.k
     out: dict = {}
-    for alpha, c in E.coeffs.items():
+    for alpha, c in E.terms.items():
         coef = c / MultiPoly.monomial(k, alpha)
         factors = [
             [(e, s) for e, s in enumerate(falling_factorial_coeffs(m)) if s]
@@ -215,7 +213,7 @@ def expoly_degree(p: ExpPoly) -> int:
     For p = exponent_polynomial(E) this equals the degree of E: distinct
     top-order multi-indices of E feed distinct leading exponent monomials,
     so no cancellation can occur at the top."""
-    return p.total_degree
+    return p.degree
 
 
 def degree_bump(p: ExpPoly, a: Sequence[RatFunc]) -> int:
@@ -229,4 +227,4 @@ def degree_bump(p: ExpPoly, a: Sequence[RatFunc]) -> int:
         raise DimensionMismatchError(f"expected {p.k} additive values, got {len(a)}")
     if all(v.is_zero for v in a):
         raise ValueError("the additive map must be nonzero")
-    return (p * ExpPoly.linear(a)).total_degree
+    return (p * ExpPoly.linear(a)).degree

@@ -332,6 +332,21 @@ def test_cli_bad_json_is_usage_error(capsys):
             ), argv
 
 
+def test_cli_grid_node_spelled_twice_is_a_parse_error(capsys):
+    # "0" and "00" (or "1" and "+1", "0,0" and " 0,0") name one node; the
+    # later value used to overwrite the earlier one without a word
+    for k, n, values, key, first in [
+        (1, 1, '{"0":"0","00":"5","1":"0"}', "00", "0"),
+        (1, 1, '{"00":"5","0":"0","1":"0"}', "0", "00"),
+        (1, 1, '{"0":"0","1":"0","+1":"1"}', "+1", "1"),
+        (2, 0, '{"0,0":"1"," 0,0":"1"}', " 0,0", "0,0"),
+    ]:
+        grid = '{"k":%d,"n":%d,"values":%s}' % (k, n, values)
+        code, out, err = run_cli(capsys, "reconstruct", "--grid", grid)
+        assert (code, out) == (2, ""), grid
+        assert err == f"parse error: grid index {key!r} names the node {first!r} again (at offset 0)\n"
+
+
 def test_cli_incomplete_grid_is_usage_error(capsys):
     grid = json.dumps({"k": 1, "n": 2, "values": {"0": "0"}})
     code, _, err = run_cli(capsys, "reconstruct", "--grid", grid)
@@ -558,6 +573,16 @@ def test_cli_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_order", broken)
     code, out, err = run_cli(capsys, "order", "--k", "1", "--op", "d[2]")
     assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+    # every reader parses with the command's own k, so mixed variable counts
+    # (a ValueError) are a bug as well, not a usage error
+    def mixed(args, seed):
+        RatFunc.one(1) + RatFunc.one(2)
+
+    monkeypatch.setattr(cli, "_cmd_order", mixed)
+    code, out, err = run_cli(capsys, "order", "--k", "1", "--op", "d[2]")
+    assert (code, out) == (3, "")
+    assert err == "internal error: DimensionMismatchError: mixed variable counts: 1 vs 2\n"
 
 
 def test_cli_runs_as_a_module_without_warnings():

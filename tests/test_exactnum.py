@@ -15,9 +15,7 @@ from derivcalc.exactnum import (
     MultiPoly,
     PoleError,
     RatFunc,
-    evaluate,
     poly_gcd,
-    ratfunc_normalize,
 )
 from derivcalc.genpoly import ExpPoly
 
@@ -33,31 +31,31 @@ def t(k=1, i=0):
 
 def test_normalize_cancels_common_factor():
     # (2t, 4t^2) -> (1/2)/t, i.e. 1/(2t)
-    r = ratfunc_normalize(t().scale(2), (t() * t()).scale(4))
+    r = RatFunc(t().scale(2), (t() * t()).scale(4))
     assert r.num == MultiPoly.const(1, Fraction(1, 2))
     assert r.den == t()
     assert r([3]) == Fraction(1, 6)
 
 
 def test_normalize_zero_numerator():
-    r = ratfunc_normalize(MultiPoly.zero(1), t() + 1)
+    r = RatFunc(MultiPoly.zero(1), t() + 1)
     assert r.is_zero
     assert r.den == MultiPoly.const(1, 1)
 
 
 def test_normalize_univariate_cancellation():
-    r = ratfunc_normalize(t() ** 2 - 1, t() - 1)
+    r = RatFunc(t() ** 2 - 1, t() - 1)
     assert r == RatFunc.from_poly(t() + 1)
 
 
 def test_normalize_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_normalize(t(), MultiPoly.zero(1))
+        RatFunc(t(), MultiPoly.zero(1))
 
 
 def test_normalize_idempotent_on_examples():
-    r = ratfunc_normalize(t().scale(2), (t() * t()).scale(4))
-    again = ratfunc_normalize(r.num, r.den)
+    r = RatFunc(t().scale(2), (t() * t()).scale(4))
+    again = RatFunc(r.num, r.den)
     assert again == r
 
 
@@ -82,15 +80,15 @@ def test_gcd_of_zero_and_poly_is_normalized_poly():
 
 def test_evaluate_examples():
     f = RatFunc.variable(2, 0) / RatFunc.variable(2, 1)
-    assert evaluate(f, [1, 2]) == Fraction(1, 2)
-    assert evaluate(RatFunc.one(2), [5, -7]) == 1
+    assert f([1, 2]) == Fraction(1, 2)
+    assert RatFunc.one(2)([5, -7]) == 1
     with pytest.raises(PoleError):
-        evaluate(1 / RatFunc.variable(2, 0), [0, 1])
+        (1 / RatFunc.variable(2, 0))([0, 1])
 
 
 def test_evaluate_wrong_point_length():
     with pytest.raises(ValueError):
-        evaluate(RatFunc.one(2), [1])
+        RatFunc.one(2)([1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ def test_normalize_is_idempotent(r):
 @given(multipolys(2), nonzero_multipolys(), multipolys(2), nonzero_multipolys())
 def test_cross_multiplication_consistency(a, b, c, d):
     # a/b == c/d in the field iff a*d == b*c in the ring
-    assert (ratfunc_normalize(a, b) == ratfunc_normalize(c, d)) == (a * d == b * c)
+    assert (RatFunc(a, b) == RatFunc(c, d)) == (a * d == b * c)
 
 
 @settings(deadline=None, max_examples=60)
@@ -237,9 +235,9 @@ def test_denominator_is_monic():
 
 
 def test_total_degree_conventions():
-    assert MultiPoly.zero(2).total_degree == -1
-    assert MultiPoly.const(2, 5).total_degree == 0
-    assert (t(2, 0) ** 2 * t(2, 1)).total_degree == 3
+    assert MultiPoly.zero(2).degree == -1
+    assert MultiPoly.const(2, 5).degree == 0
+    assert (t(2, 0) ** 2 * t(2, 1)).degree == 3
 
 
 def test_powers_are_repeated_products():
@@ -329,7 +327,7 @@ def _check_against_ref(p, ref):
     k = p.k
     assert p.sorted_terms() == _ref_terms(ref)
     assert str(p) == _ref_str(ref)
-    assert p.total_degree == max((sum(m) for m in ref), default=-1)
+    assert p.degree == max((sum(m) for m in ref), default=-1)
     for v in range(k):
         assert p.degree_in(v) == max((m[v] for m in ref), default=-1)
     if ref:
