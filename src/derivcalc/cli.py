@@ -742,6 +742,9 @@ def _run(argv) -> int:
             return 2
     try:
         ok, record = args.fn(args, seed)
+        # rendering converts field elements to str, which can fail too
+        # (an int past the interpreter's digit limit)
+        out = _render(record, args.json)
     except (NotInO0Error, PoleError) as exc:
         if args.json:
             print(json.dumps({"error": str(exc)}))
@@ -751,18 +754,16 @@ def _run(argv) -> int:
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except DimensionMismatchError as exc:
-        # each reader parses with the command's own k, so no input mixes
-        # variable counts: this is a bug, not a usage error
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
+        # each reader parses with the command's own k, so no input mixes
+        # variable counts: a DimensionMismatchError is a bug, not a usage error
+        usage = isinstance(exc, (ValueError, ZeroDivisionError, OSError))
+        if usage and not isinstance(exc, DimensionMismatchError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(_render(record, args.json))
+    print(out)
     return 0 if ok else 1
 
 

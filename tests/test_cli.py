@@ -585,6 +585,25 @@ def test_cli_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: DimensionMismatchError: mixed variable counts: 1 vs 2\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
+def test_cli_output_past_the_int_digit_limit_is_a_usage_error(capsys):
+    # printing 2^20000 (6,021 digits) fails in str(); that happens while the
+    # result is rendered, and must still end on the exit-2 path, not a traceback
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for flag in ([], ["--json"]):
+            code, out, err = run_cli(
+                capsys, *flag, "apply", "--k", "1", "--op", "1", "--expr", "2^20000"
+            )
+            assert (code, out) == (2, ""), flag
+            assert err.startswith("error: Exceeds the limit"), err
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_cli_runs_as_a_module_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-m", "derivcalc.cli", "order", "--k", "1", "--op", "d[2]"],
