@@ -9,10 +9,23 @@ words) are normalized to the canonical shape
 by repeatedly commuting a partial derivative past a coefficient:
 d_i (c . ) = (d_i c) + c d_i.  The degree of a canonical operator is the
 largest |a| carrying a nonzero coefficient; the zero operator has degree -1.
+
+A canonical operator also obeys the general Leibniz rule
+
+    E(f*g) = sum over b of E^(b)(f) * d^b g / b!,
+
+with the symbol derivative E^(b) = sum over a >= b of c_a * a!/(a-b)! * d^(a-b)
+(Hörmander, The Analysis of Linear Partial Differential Operators I, §1.1).
+``derived`` builds E^(b), and ``leibniz_sum`` folds the rule over several
+factors, which gives nested defects and iterated differences in closed form.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
+from math import factorial, perm, prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -23,6 +36,7 @@ from .exactnum import (
     add_terms,
     as_ratfunc,
     check_k,
+    grlex_key,
     mono_set,
     unit_index,
     zero_index,
@@ -260,3 +274,63 @@ def normalize(w: OpWord) -> DiffOp:
             acc = compose(d.as_diffop(), acc)
         result = result + acc.scale(coef)
     return result
+
+
+def derived(E: DiffOp, beta: Monomial, identity: bool = True) -> DiffOp:
+    """The symbol derivative E^(beta) = sum over a >= beta of
+    c_a * a!/(a-beta)! * d^(a-beta), the operator that the general Leibniz
+    rule applies to the first factor.  With identity=False the identity
+    term, the one from a = beta, is left out."""
+    out = {}
+    for a, c in E.terms.items():
+        if (identity or a != beta) and all(e >= b for e, b in zip(a, beta)):
+            out[tuple(e - b for e, b in zip(a, beta))] = c * prod(map(perm, a, beta))
+    return DiffOp._raw(E.k, out)
+
+
+def leibniz_sum(
+    E: DiffOp, x: RatFunc, ys: Sequence[RatFunc], top: int, identity: bool = True
+) -> RatFunc:
+    """sum of E^(s)(x) * prod_i d^(b_i) y_i / b_i! over the ordered tuples
+    (b_1..b_m) of nonzero multi-indices with s = b_1+...+b_m and |s| <= top.
+
+    E^(s) is zero unless s lies below the support of E, so only those s are
+    enumerated.  The tuples are folded by their partial sums one y at a
+    time, so each E^(s)(x) is one evaluation whatever the number of tuples
+    summing to s.  Every b_i has |b_i| >= 1, so with m > top there is no
+    tuple: the sum is zero and costs no arithmetic."""
+    k = E.k
+    for z in (x, *ys):
+        check_k(k, z.k)
+    m = len(ys)
+    if m > top:
+        return RatFunc.zero(k)
+    below = {
+        b
+        for a in E.terms
+        for b in product(*(range(e + 1) for e in a))
+        if 0 < sum(b) <= top
+    }
+    steps = sorted(below, key=grlex_key)
+    weights = {zero_index(k): RatFunc.one(k)}
+    for i, y in enumerate(ys):
+        room = top - (m - 1 - i)  # each later factor takes at least 1
+        tower = {zero_index(k): y}
+        taylor = {
+            b: _materialize_partial(tower, b) * Fraction(1, prod(map(factorial, b)))
+            for b in steps
+            if sum(b) <= room - i
+        }
+        out: dict = {}
+        for s, w in weights.items():
+            for b, d in taylor.items():
+                t = tuple(map(add, s, b))
+                if sum(t) > room:
+                    break
+                if d and t in below:
+                    add_terms(out, ((t, w * d),))
+        weights = out
+    total = RatFunc.zero(k)
+    for s, w in weights.items():
+        total = total + apply_diffop(derived(E, s, identity), x) * w
+    return total

@@ -39,7 +39,7 @@ from .exactnum import (
     unit_index,
     zero_index,
 )
-from .deriv import DiffOp
+from .deriv import DiffOp, leibniz_sum
 from .leibniz import CheckResult
 
 # A map defined on nonzero field elements, e.g. x -> E(x)/x for an operator.
@@ -131,6 +131,16 @@ def gp_degree_check(
     regard to order (the commutation law itself is covered by tests).  n = -1
     asks for the zero map.  Failure reports the witness (increments-tuple,
     point, value); passing is evidence on the data only.
+
+    A map made by ``over_identity(E)`` takes the closed Leibniz form
+
+        delta_{g1..gm}(E(x)/x) = sum of E^(s)(x)/x * prod_i d^(b_i) g_i / (b_i! * g_i),
+
+    summed over ordered tuples (b_1..b_m) of nonzero multi-indices with
+    s = b_1+...+b_m and |s| <= deg E (see ``deriv.leibniz_sum``).  With
+    m > deg E no tuple exists, so each difference is zero without
+    arithmetic.  Any other map is a black box and takes the memoized
+    recursion.  Both routes visit tuples and points in the same order.
     """
     if n < -1:
         raise ValueError("degree bound must be at least -1")
@@ -144,11 +154,23 @@ def gp_degree_check(
     for x in points:
         if x.is_zero:
             raise ValueError("points must be nonzero")
-    memo: dict = {}
+    if isinstance(f, _OverIdentity):
+        E = f.op
+
+        def difference(gs, x):
+            v = leibniz_sum(E, x, gs, E.degree)
+            return v / prod(gs, start=x) if v else v
+
+    else:
+        memo: dict = {}
+
+        def difference(gs, x):
+            return _iterated_delta(f, gs, x, memo)
+
     for picks in combinations_with_replacement(range(len(increments)), n + 1):
         gs = tuple(increments[i] for i in picks)
         for x in points:
-            v = _iterated_delta(f, gs, x, memo)
+            v = difference(gs, x)
             if not v.is_zero:
                 return CheckResult(
                     False, f"{n + 1}-fold difference nonzero", (gs, x), v
@@ -171,15 +193,26 @@ def falling_factorial_coeffs(m: int) -> list[Fraction]:
     return coeffs
 
 
-def over_identity(E: DiffOp) -> SemigroupMap:
-    """The semigroup map x -> E(x)/x induced by an operator."""
+class _OverIdentity:
+    """x -> E(x)/x; carries E so that ``gp_degree_check`` can take the
+    closed Leibniz form."""
 
-    def f(x: RatFunc) -> RatFunc:
+    __slots__ = ("op",)
+
+    def __init__(self, E: DiffOp):
+        self.op = E
+
+    def __call__(self, x: RatFunc) -> RatFunc:
         if x.is_zero:
             raise ZeroDivisionError("map is defined on nonzero elements only")
-        return E(x) / x
+        return self.op(x) / x
 
-    return f
+
+def over_identity(E: DiffOp) -> SemigroupMap:
+    """The semigroup map x -> E(x)/x induced by an operator.  The map it
+    returns carries E, so ``gp_degree_check`` computes its iterated
+    differences in closed form instead of evaluating the map."""
+    return _OverIdentity(E)
 
 
 def exponent_polynomial(E: DiffOp) -> ExpPoly:

@@ -7,6 +7,21 @@ operator of degree n that kills constants has every n-fold nested defect
 identically zero, and the converse classification makes order computable
 from the canonical form alone (see ``order_exact``).
 
+``nested_defect`` takes one of two routes.  A canonical operator E (a
+``DiffOp``, or a ``Derivation`` through ``as_diffop``) takes the closed
+Leibniz form
+
+    B_{y1..ym}(x) = sum of E~^(s)(x) * prod_i d^(b_i) y_i / b_i!
+                    + (-1)^m * c_0 * x * y1 * ... * ym,
+
+summed over ordered tuples (b_1..b_m) of nonzero multi-indices with
+s = b_1+...+b_m and |s| < deg E.  Here E~^(s) is the symbol derivative E^(s)
+without its identity term and c_0 the identity coefficient of E (see
+``deriv.leibniz_sum``).  With m >= deg E and no identity part no tuple
+exists, so the vanishing half of Theorem 2 is structural: a zero check costs
+no arithmetic.  Any other map is a black box and takes the recursion, which
+evaluates the map at products of the nesting elements.
+
 Black-box maps can only be checked on finite data; ``order_upper_check``
 therefore reports sound evidence ("consistent with order <= n on the given
 samples"), not a proof.  Exact decisions are reserved for canonical
@@ -17,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
-from .exactnum import RatFunc
-from .deriv import DiffOp
+from .exactnum import RatFunc, zero_index
+from .deriv import Derivation, DiffOp, leibniz_sum
 
 # Anything that maps field elements to field elements: a DiffOp, a
 # Derivation, or a plain python callable.
@@ -102,10 +118,20 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     D_y(x) = D(xy) - y D(x) - x D(y).
 
     With m = 1 this is defect(D, x, y1).  A map of order at most n has every
-    n-fold nesting identically zero.
+    n-fold nesting identically zero.  A ``DiffOp`` or ``Derivation`` takes
+    the closed Leibniz form of the module docstring; any other map takes
+    the recursion.
     """
     if not ys:
         raise ValueError("need at least one nesting element")
+    E = D.as_diffop() if isinstance(D, Derivation) else D
+    if isinstance(E, DiffOp):
+        value = leibniz_sum(E, x, ys, E.degree - 1, identity=False)
+        c0 = E.terms.get(zero_index(E.k))
+        if c0:
+            term = c0 * prod(ys, start=x)
+            value = value - term if len(ys) % 2 else value + term
+        return value
     memo = D if isinstance(D, _Memo) else _Memo(D)
 
     def rec(z: RatFunc, depth: int) -> RatFunc:
@@ -125,7 +151,8 @@ def order_upper_check(
     Checks additivity on all sample pairs, D(1) = 0, and vanishing of every
     n-fold nested defect built from sample tuples (for n = 0 this degenerates
     to D vanishing on the samples).  Passing is evidence on the given data,
-    not a proof, for black-box maps.
+    not a proof, for black-box maps.  A ``DiffOp`` or ``Derivation`` goes to
+    ``nested_defect`` as itself, so the defects take the closed form.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")
@@ -148,8 +175,9 @@ def order_upper_check(
             if not v.is_zero:
                 return CheckResult(False, "nonzero value at order 0", (x,), v)
         return CheckResult(True, "consistent with order <= 0 on given data")
+    nesting_map = D if isinstance(D, (DiffOp, Derivation)) else memo
     for tup in product(samples, repeat=n + 1):
-        v = nested_defect(memo, tup[0], tup[1:])
+        v = nested_defect(nesting_map, tup[0], tup[1:])
         if not v.is_zero:
             return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v)
     return CheckResult(True, f"consistent with order <= {n} on given data")

@@ -1,6 +1,7 @@
 """Derivations, operator words, canonical forms, composition."""
 
 from fractions import Fraction
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -13,9 +14,11 @@ from derivcalc.deriv import (
     apply_derivation,
     apply_diffop,
     compose,
+    derived,
     normalize,
 )
 from derivcalc.sampling import (
+    monomials_up_to,
     random_derivation,
     random_diffop,
     random_ratfunc,
@@ -173,6 +176,33 @@ def test_compose_agrees_with_application():
         for _ in range(2):
             f = random_ratfunc(rng, 2, max_degree=2)
             assert apply_diffop(C, f) == apply_diffop(E1, apply_diffop(E2, f))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_general_leibniz_rule(k):
+    # E(f*g) = sum over b of E^(b)(f) * d^b g / b!, with non-monomial
+    # denominators in E, f and g
+    rng = Random(4100 + k)
+    for n in range(4 if k < 3 else 3):
+        E = random_diffop(rng, k, n, in_o0=False, den_style="poly")
+        f = random_ratfunc(rng, k, den_style="poly")
+        g = random_ratfunc(rng, k, den_style="poly")
+        total = RatFunc.zero(k)
+        for beta in monomials_up_to(k, n):
+            dg = g
+            for i, e in enumerate(beta):
+                for _ in range(e):
+                    dg = dg.partial(i)
+            total = total + derived(E, beta)(f) * dg / prod(map(factorial, beta))
+        assert E(f * g) == total
+
+
+def test_symbol_derivative_terms():
+    # (t d^3)^(2) = 6t d, and without its identity term (t d^2)^(2) is zero
+    assert derived(DiffOp(1, {(3,): t}), (2,)) == DiffOp(1, {(1,): 6 * t})
+    assert derived(DiffOp(1, {(2,): t}), (2,)) == DiffOp.identity(1, 2 * t)
+    assert derived(DiffOp(1, {(2,): t}), (2,), identity=False).is_zero
+    assert derived(DiffOp.partial(2, 0), (0, 1)).is_zero
 
 
 def test_degree_conventions():

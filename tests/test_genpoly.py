@@ -17,7 +17,12 @@ from derivcalc.genpoly import (
     gp_degree_check,
     over_identity,
 )
-from derivcalc.sampling import random_derivation, random_diffop, random_sparse_ratfunc
+from derivcalc.sampling import (
+    random_derivation,
+    random_diffop,
+    random_ratfunc,
+    random_sparse_ratfunc,
+)
 
 t = RatFunc.variable(1, 0)
 
@@ -95,6 +100,27 @@ def test_identity_map_defeats_any_level():
     assert not res.ok
     poly_t = MultiPoly.variable(1, 0)
     assert res.value == RatFunc.from_poly((poly_t - 1) ** 6)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(5)])
+def test_degree_check_closed_form_matches_recursion(k, n):
+    # a lambda is a black box, so it takes the memoized recursion: the
+    # reference for the closed Leibniz form that over_identity(E) takes.  E
+    # comes without and with an identity part, as in test_leibniz.py.
+    rng = Random(950 + 10 * k + n)
+    E0 = random_diffop(rng, k, n, in_o0=True, fill=0.3)
+    c0 = random_ratfunc(rng, k, max_degree=1, den_style="poly") + 1
+    failures = 0
+    for E in (E0, E0 + DiffOp.identity(k, c0)):
+        g1, g2, x = (random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(3))
+        incs = [g1, g2 / (RatFunc.variable(k, 0) + 2)]  # a non-monomial denominator
+        for level in range(-1, n + 1):  # level + 1 = m runs from 0 to n + 1
+            fast = gp_degree_check(over_identity(E), level, incs, [x])
+            assert fast == gp_degree_check(lambda z: E(z) / z, level, incs, [x])
+            failures += not fast.ok
+            if level >= E.degree:
+                assert fast.ok
+    assert failures
 
 
 def test_degree_check_level_minus_one_is_zero_test():

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from derivcalc.exactnum import RatFunc
-from derivcalc.deriv import DiffOp, OpWord, normalize
+from derivcalc.deriv import Derivation, DiffOp, OpWord, normalize
 from derivcalc.leibniz import (
     MapTable,
     NotInO0Error,
@@ -92,6 +92,27 @@ def test_nested_defect_matches_closed_form(m):
             assert nested_defect(D, x, ys) == _nested_defect_closed_form(D, x, ys)
 
 
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(5)])
+def test_nested_defect_closed_form_matches_recursion(k, n):
+    # a lambda is a black box, so it takes the recursion: the reference for
+    # the closed Leibniz form that a DiffOp takes.  E comes without and with
+    # an identity part, whose coefficient has a non-monomial denominator.
+    rng = Random(900 + 10 * k + n)
+    E0 = random_diffop(rng, k, n, in_o0=True, fill=0.3)
+    c0 = random_ratfunc(rng, k, max_degree=1, den_style="poly") + 1
+    nonzero = 0
+    for E in (E0, E0 + DiffOp.identity(k, c0)):
+        x, *ys = (random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(n + 2))
+        ys[-1] = ys[-1] / (RatFunc.variable(k, 0) + 2)  # a non-monomial denominator
+        for m in range(1, n + 2):
+            fast = nested_defect(E, x, ys[:m])
+            assert fast == nested_defect(lambda z: E(z), x, ys[:m])
+            nonzero += not fast.is_zero
+            if E.in_o0 and m >= E.degree:
+                assert fast.is_zero
+    assert nonzero
+
+
 def test_nested_defect_requires_nesting_elements():
     with pytest.raises(ValueError):
         nested_defect(D2, t, ())
@@ -141,6 +162,25 @@ def test_order_check_rejects_map_not_killing_one():
     E = DiffOp.identity(1, 3) + D2
     res = order_upper_check(E, 2, samples1())
     assert not res.ok and "annihilate" in res.reason
+
+
+@pytest.mark.parametrize(
+    "D, n, samples",
+    [
+        (D2, 2, samples1()),
+        (D2, 1, [t]),
+        (D2, 1, samples1()),
+        (DiffOp.zero(1), 0, samples1()),
+        (DiffOp.identity(1, 3) + D2, 2, samples1()),
+        (DiffOp(1, {(1,): t, (3,): 1}), 2, samples1()),
+        (Derivation([t * t + 1]), 1, samples1()),
+        (Derivation([t * t + 1]), 0, samples1()),
+    ],
+)
+def test_order_check_on_operators_matches_black_box(D, n, samples):
+    # a DiffOp or Derivation reaches nested_defect as itself (closed form);
+    # the lambda takes the recursion, and the whole CheckResult must agree
+    assert order_upper_check(D, n, samples) == order_upper_check(lambda z: D(z), n, samples)
 
 
 def test_closedness_echo_on_restriction_tables():
