@@ -211,7 +211,9 @@ class _OverIdentity:
 def over_identity(E: DiffOp) -> SemigroupMap:
     """The semigroup map x -> E(x)/x induced by an operator.  The map it
     returns carries E, so ``gp_degree_check`` computes its iterated
-    differences in closed form instead of evaluating the map."""
+    differences in closed form, delta_{g1..gm}(E(x)/x) = sum over
+    |s| <= deg E of E^(s)(x)/x * prod_i d^(b_i) g_i / (b_i! * g_i), instead
+    of evaluating the map; any other map takes the recursion."""
     return _OverIdentity(E)
 
 

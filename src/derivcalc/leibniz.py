@@ -118,9 +118,13 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     D_y(x) = D(xy) - y D(x) - x D(y).
 
     With m = 1 this is defect(D, x, y1).  A map of order at most n has every
-    n-fold nesting identically zero.  A ``DiffOp`` or ``Derivation`` takes
-    the closed Leibniz form of the module docstring; any other map takes
-    the recursion.
+    n-fold nesting identically zero.
+
+    A ``DiffOp`` or ``Derivation`` E takes the closed Leibniz form of the
+    module docstring, sum over |s| < deg E of E~^(s)(x) * prod_i
+    d^(b_i) y_i / b_i! plus (-1)^m * c_0 * x * y1 * ... * ym; it is zero
+    without arithmetic when m >= deg E and E kills 1.  Any other map is a
+    black box and takes the recursion through its values at products.
     """
     if not ys:
         raise ValueError("need at least one nesting element")
