@@ -20,7 +20,6 @@ from .deriv import (
     Derivation,
     DiffOp,
     OpWord,
-    apply_derivation,
     apply_diffop,
     compose,
     normalize,
@@ -98,7 +97,6 @@ __all__ = [
     "PoleError",
     "RatFunc",
     "RecurrenceSpec",
-    "apply_derivation",
     "apply_diffop",
     "char2_D",
     "char2_compose_check",

@@ -46,7 +46,7 @@ from random import Random
 from .exactnum import DimensionMismatchError, GF2Poly, PoleError, RatFunc, add_terms, zero_index
 from .deriv import Derivation, DiffOp, OpWord, compose, normalize
 from .genpoly import exponent_polynomial, gp_degree_check, over_identity
-from .leibniz import MapTable, NotInO0Error, defect, nested_defect, order_exact
+from .leibniz import MapTable, NotInO0Error, nested_defect, order_exact
 from .reconstruct import (
     DegreeOverflowError,
     GridValues,
@@ -109,10 +109,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _check_least_k(k: int, least_k: int = 1) -> None:
+    if k < least_k:
+        raise ValueError(f"k must be at least {least_k}")
+
+
 class _Parser:
     def __init__(self, text: str, k: int, least_k: int = 1):
-        if k < least_k:
-            raise ValueError(f"k must be at least {least_k}")
+        _check_least_k(k, least_k)
         self.k = k
         self.tokens = _tokenize(text)
         self.i = 0
@@ -358,6 +362,7 @@ def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
 def parse_table_json(raw: str, k: int) -> MapTable:
     """MapTable JSON: an object mapping expression strings to expression
     strings or integers."""
+    _check_least_k(k)  # an empty table parses no expression
     data = _load_json_arg(raw)
     if not isinstance(data, dict):
         raise ExprSyntaxError("table JSON must be an object", 0)
@@ -482,7 +487,7 @@ def _cmd_defect(args, seed):
     op = _operator_from_args(args)
     x = parse_expr(args.x, k)
     ys = [parse_expr(y, k) for y in args.y]
-    value = nested_defect(op, x, ys) if len(ys) > 1 else defect(op, x, ys[0])
+    value = nested_defect(op, x, ys)
     return True, [("defect", "defect: {}", value), ("nesting", None, len(ys))]
 
 

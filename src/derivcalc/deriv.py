@@ -1,7 +1,9 @@
 """Derivations on Q(t1..tk) and their canonical differential-operator forms.
 
 A derivation is determined by the images of the generators: d = sum_i g_i
-d/dt_i with g_i = d(t_i).  Formal compositions of derivations (operator
+d/dt_i with g_i = d(t_i).  It is the first-order canonical operator with no
+identity term, so a ``Derivation`` is a ``DiffOp``: it applies, composes,
+adds and compares as one.  Formal compositions of derivations (operator
 words) are normalized to the canonical shape
 
     sum over multi-indices a of  c_a * d^a,     c_a in Q(t1..tk),
@@ -43,78 +45,15 @@ from .exactnum import (
 )
 
 
-class Derivation:
-    """Derivation on Q(t1..tk), given extensionally by generator images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[RatFunc | MultiPoly | int]):
-        images = tuple(images)
-        if not images:
-            raise ValueError("a derivation needs at least one generator image")
-        k = len(images)
-        object.__setattr__(self, "images", tuple(as_ratfunc(k, g) for g in images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
-    @classmethod
-    def coordinate(cls, k: int, index: int) -> "Derivation":
-        """The coordinate derivation d/dt_index."""
-        return cls(
-            [RatFunc.one(k) if i == index else RatFunc.zero(k) for i in range(k)]
-        )
-
-    @classmethod
-    def zero(cls, k: int) -> "Derivation":
-        return cls([RatFunc.zero(k)] * k)
-
-    @property
-    def k(self) -> int:
-        return len(self.images)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(g.is_zero for g in self.images)
-
-    def __call__(self, f: RatFunc) -> RatFunc:
-        return apply_derivation(self, f)
-
-    def as_diffop(self) -> "DiffOp":
-        """The same map written as a first-order canonical operator."""
-        return DiffOp._raw(
-            self.k, {unit_index(self.k, i): g for i, g in enumerate(self.images) if g}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __str__(self):
-        return "; ".join(f"t{i + 1} -> {g}" for i, g in enumerate(self.images))
-
-    def __repr__(self):
-        return f"Derivation({str(self)!r})"
-
-
 class DiffOp(RatFuncTerms):
     """Canonical differential operator: finite sum of c_a * d^a (``terms`` maps a to c_a)."""
 
     __slots__ = ()
 
-    @classmethod
-    def identity(cls, k: int, coef=1) -> "DiffOp":
+    @staticmethod
+    def identity(k: int, coef=1) -> "DiffOp":
         c = as_ratfunc(k, coef)
-        return cls._raw(k, {zero_index(k): c} if c else {})
-
-    @classmethod
-    def partial(cls, k: int, index: int) -> "DiffOp":
-        """The operator d/dt_index."""
-        return cls._raw(k, {unit_index(k, index): RatFunc.one(k)})
+        return DiffOp._raw(k, {zero_index(k): c} if c else {})
 
     @property
     def in_o0(self) -> bool:
@@ -132,6 +71,37 @@ class DiffOp(RatFuncTerms):
 
     def __call__(self, f: RatFunc) -> RatFunc:
         return apply_diffop(self, f)
+
+
+class Derivation(DiffOp):
+    """Derivation on Q(t1..tk): the first-order operator sum_i g_i d/dt_i,
+    with no identity term, given by the generator images g_i = d(t_i).
+    Sums, negations and scalings of derivations are derivations; a sum or
+    difference with any other ``DiffOp`` is a ``DiffOp``."""
+
+    __slots__ = ()
+
+    def __init__(self, images: Sequence[RatFunc | MultiPoly | int]):
+        images = tuple(images)
+        if not images:
+            raise ValueError("a derivation needs at least one generator image")
+        k = len(images)
+        super().__init__(k, {unit_index(k, i): g for i, g in enumerate(images)})
+
+    @classmethod
+    def coordinate(cls, k: int, index: int) -> "Derivation":
+        """The coordinate derivation d/dt_index; ValueError unless
+        0 <= index < k."""
+        return cls._raw(k, {unit_index(k, index): RatFunc.one(k)})
+
+    @property
+    def images(self) -> tuple[RatFunc, ...]:
+        """The generator images d(t_1), ..., d(t_k), zeros included."""
+        zero = RatFunc.zero(self.k)
+        return tuple(self.terms.get(unit_index(self.k, i), zero) for i in range(self.k))
+
+    def __str__(self):
+        return "; ".join(f"t{i + 1} -> {g}" for i, g in enumerate(self.images))
 
 
 class OpWord:
@@ -179,7 +149,7 @@ class OpWord:
         for coef, word in self.words:
             g = f
             for d in reversed(word):
-                g = apply_derivation(d, g)
+                g = d(g)
             total = total + coef * g
         return total
 
@@ -196,16 +166,6 @@ class OpWord:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def apply_derivation(d: Derivation, f: RatFunc) -> RatFunc:
-    """d(f) = sum_i d(t_i) * df/dt_i; additive and Leibniz by construction."""
-    check_k(d.k, f.k)
-    total = RatFunc.zero(f.k)
-    for i, g in enumerate(d.images):
-        if not g.is_zero:
-            total = total + g * f.partial(i)
-    return total
 
 
 def _materialize_partial(cache: dict, alpha: Monomial) -> RatFunc:
@@ -271,7 +231,7 @@ def normalize(w: OpWord) -> DiffOp:
     for coef, word in w.words:
         acc = DiffOp.identity(w.k)
         for d in reversed(word):
-            acc = compose(d.as_diffop(), acc)
+            acc = compose(d, acc)
         result = result + acc.scale(coef)
     return result
 

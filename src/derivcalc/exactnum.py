@@ -242,8 +242,10 @@ class TermMap:
     ``_coeff(k, c)``, stores a checked exponent tuple as the key
     ``_key(k, mono)`` and reads it back with ``_mono(k, key)`` (the tuple
     itself here, a packed int in ``PackedKeys``), and names its index in
-    error messages through ``_index_word``.  Operations are type-strict:
-    values of two different subclasses never add or compare equal."""
+    error messages through ``_index_word``.  Values of two unrelated
+    subclasses never add or compare equal; when one class derives from the
+    other (a ``Derivation`` is a ``DiffOp``) they mix as values of the more
+    general class, which a sum or difference takes."""
 
     __slots__ = ("k", "terms", "_hash")
 
@@ -300,22 +302,36 @@ class TermMap:
             return -1
         return max(sum(self._mono(self.k, a)) for a in self.terms)
 
+    def _common(self, other):
+        """The more general class of self and other when one derives from
+        the other, else None."""
+        if isinstance(other, type(self)):
+            return type(self)
+        if isinstance(self, type(other)):
+            return type(other)
+        return None
+
+    # each operation tests for the same class first, which costs no call
+
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
+        cls = type(self)
+        if type(other) is not cls:
+            cls = self._common(other)
+            if cls is None:
+                return NotImplemented
         check_k(self.k, other.k)
-        return self._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
+        return cls._raw(self.k, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._raw(self.k, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not type(self) and self._common(other) is None:
             return NotImplemented
         return self + (-other)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not type(self) and self._common(other) is None:
             return NotImplemented
         return self.k == other.k and self.terms == other.terms
 

@@ -61,10 +61,6 @@ class Char2OrderReport:
     derivation_witness: tuple | None  # (x, y, B(x, y)) with nonzero defect
 
     @property
-    def is_derivation_on_tested(self) -> bool:
-        return self.derivation_witness is None
-
-    @property
     def ok(self) -> bool:
         return self.additive_ok and self.defects2_vanish
 

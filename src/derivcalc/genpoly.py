@@ -65,14 +65,6 @@ class ExpPoly(PackedKeys, RatFuncTerms):
     _scalars = (int, Fraction, RatFunc)
     __mul__ = __rmul__ = sparse_product
 
-    def map_coeffs(self, fn: Callable[[RatFunc], RatFunc]) -> "ExpPoly":
-        out = {}
-        for beta, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero:
-                out[beta] = v
-        return ExpPoly._raw(self.k, out)
-
     def __call__(self, exponents: Sequence[int]) -> RatFunc:
         """Exact value at an integer exponent vector."""
         return self._at(exponents, RatFunc.zero(self.k))

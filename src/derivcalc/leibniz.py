@@ -8,8 +8,7 @@ identically zero, and the converse classification makes order computable
 from the canonical form alone (see ``order_exact``).
 
 ``nested_defect`` takes one of two routes.  A canonical operator E (a
-``DiffOp``, or a ``Derivation`` through ``as_diffop``) takes the closed
-Leibniz form
+``DiffOp``, a ``Derivation`` among them) takes the closed Leibniz form
 
     B_{y1..ym}(x) = sum of E~^(s)(x) * prod_i d^(b_i) y_i / b_i!
                     + (-1)^m * c_0 * x * y1 * ... * ym,
@@ -36,10 +35,10 @@ from math import prod
 from typing import Callable, Sequence
 
 from .exactnum import RatFunc, zero_index
-from .deriv import Derivation, DiffOp, leibniz_sum
+from .deriv import DiffOp, leibniz_sum
 
-# Anything that maps field elements to field elements: a DiffOp, a
-# Derivation, or a plain python callable.
+# Anything that maps field elements to field elements: a DiffOp (a
+# Derivation is one) or a plain python callable.
 PointMap = Callable[[RatFunc], RatFunc]
 
 
@@ -120,18 +119,17 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     With m = 1 this is defect(D, x, y1).  A map of order at most n has every
     n-fold nesting identically zero.
 
-    A ``DiffOp`` or ``Derivation`` E takes the closed Leibniz form of the
-    module docstring, sum over |s| < deg E of E~^(s)(x) * prod_i
+    A ``DiffOp`` E, a ``Derivation`` included, takes the closed Leibniz
+    form of the module docstring, sum over |s| < deg E of E~^(s)(x) * prod_i
     d^(b_i) y_i / b_i! plus (-1)^m * c_0 * x * y1 * ... * ym; it is zero
     without arithmetic when m >= deg E and E kills 1.  Any other map is a
     black box and takes the recursion through its values at products.
     """
     if not ys:
         raise ValueError("need at least one nesting element")
-    E = D.as_diffop() if isinstance(D, Derivation) else D
-    if isinstance(E, DiffOp):
-        value = leibniz_sum(E, x, ys, E.degree - 1, identity=False)
-        c0 = E.terms.get(zero_index(E.k))
+    if isinstance(D, DiffOp):
+        value = leibniz_sum(D, x, ys, D.degree - 1, identity=False)
+        c0 = D.terms.get(zero_index(D.k))
         if c0:
             term = c0 * prod(ys, start=x)
             value = value - term if len(ys) % 2 else value + term
@@ -155,33 +153,37 @@ def order_upper_check(
     Checks additivity on all sample pairs, D(1) = 0, and vanishing of every
     n-fold nested defect built from sample tuples (for n = 0 this degenerates
     to D vanishing on the samples).  Passing is evidence on the given data,
-    not a proof, for black-box maps.  A ``DiffOp`` or ``Derivation`` goes to
-    ``nested_defect`` as itself, so the defects take the closed form.
+    not a proof, for black-box maps.  A ``DiffOp``, a ``Derivation``
+    included, is additive by construction, so it skips the additivity check
+    and the memo, and goes to ``nested_defect`` as itself, so the defects
+    take the closed form.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")
     if not samples:
         raise ValueError("need at least one sample")
     k = samples[0].k
-    memo = _Memo(D)
-    for x, y in product(samples, repeat=2):
-        lhs = memo(x + y)
-        rhs = memo(x) + memo(y)
-        if lhs != rhs:
-            return CheckResult(False, "not additive", (x, y), lhs - rhs)
+    if isinstance(D, DiffOp):
+        f = D
+    else:
+        f = _Memo(D)
+        for x, y in product(samples, repeat=2):
+            lhs = f(x + y)
+            rhs = f(x) + f(y)
+            if lhs != rhs:
+                return CheckResult(False, "not additive", (x, y), lhs - rhs)
     one = RatFunc.one(k)
-    at_one = memo(one)
+    at_one = f(one)
     if not at_one.is_zero:
         return CheckResult(False, "does not annihilate 1", (one,), at_one)
     if n == 0:
         for x in samples:
-            v = memo(x)
+            v = f(x)
             if not v.is_zero:
                 return CheckResult(False, "nonzero value at order 0", (x,), v)
         return CheckResult(True, "consistent with order <= 0 on given data")
-    nesting_map = D if isinstance(D, (DiffOp, Derivation)) else memo
     for tup in product(samples, repeat=n + 1):
-        v = nested_defect(nesting_map, tup[0], tup[1:])
+        v = nested_defect(f, tup[0], tup[1:])
         if not v.is_zero:
             return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v)
     return CheckResult(True, f"consistent with order <= {n} on given data")

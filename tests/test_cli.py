@@ -87,7 +87,7 @@ def test_parse_rejects_trailing_input():
 def test_parse_operator_literal():
     t = RatFunc.variable(1, 0)
     got = parse_diffop("d[1] + t1 * d[2]", 1)
-    assert got == DiffOp.partial(1, 0) + DiffOp(1, {(2,): t})
+    assert got == Derivation.coordinate(1, 0) + DiffOp(1, {(2,): t})
 
 
 def test_parse_operator_identity_term_and_zero():
@@ -386,6 +386,15 @@ def test_cli_fit_feasible(capsys):
     )
     assert code == 0
     assert "operator: d[1]" in out
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_cli_fit_refuses_k_below_one_whatever_the_table(capsys, k):
+    # an empty table parses no expression, so the reader never sees k
+    for table in ("{}", '{"1":"1"}'):
+        assert run_cli(capsys, "fit", "--k", k, "--n", "1", "--table", table) == (
+            2, "", "error: k must be at least 1\n"
+        )
 
 
 def test_cli_reconstruct(capsys):

@@ -11,7 +11,6 @@ from derivcalc.deriv import (
     Derivation,
     DiffOp,
     OpWord,
-    apply_derivation,
     apply_diffop,
     compose,
     derived,
@@ -30,12 +29,12 @@ d = Derivation.coordinate(1, 0)
 
 
 # ---------------------------------------------------------------------------
-# apply_derivation
+# applying a derivation
 # ---------------------------------------------------------------------------
 
 
 def test_apply_coordinate_derivation():
-    assert apply_derivation(d, t**2) == 2 * t
+    assert d(t**2) == 2 * t
 
 
 def test_derivation_kills_constants():
@@ -43,11 +42,17 @@ def test_derivation_kills_constants():
     c = RatFunc.const(2, Fraction(7, 3))
     for _ in range(5):
         dd = random_derivation(rng, 2)
-        assert apply_derivation(dd, c).is_zero
+        assert dd(c).is_zero
+
+
+def test_coordinate_index_out_of_range_is_refused():
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            Derivation.coordinate(2, index)
 
 
 def test_quotient_rule_is_forced():
-    assert apply_derivation(d, 1 / t) == -(t**-2)
+    assert d(1 / t) == -(t**-2)
 
 
 def test_additivity_and_product_rule():
@@ -66,7 +71,7 @@ def test_additivity_and_product_rule():
 
 
 def test_apply_mixed_operator():
-    E = DiffOp.partial(1, 0) + DiffOp(1, {(2,): t})
+    E = Derivation.coordinate(1, 0) + DiffOp(1, {(2,): t})
     assert apply_diffop(E, t**3) == 9 * t**2
 
 
@@ -93,17 +98,49 @@ def test_single_derivation_normal_form():
     g2 = random_ratfunc(Random(2), 2)
     dd = Derivation([g1, g2])
     N = normalize(OpWord.composition([dd]))
-    assert N == dd.as_diffop()
+    assert N == dd
 
 
 def test_commutation_rewrite():
     # d o (t d) = d + t d^2, checked structurally and on monomials
     w = OpWord.composition([d, Derivation([t])])
     N = normalize(w)
-    assert N == DiffOp.partial(1, 0) + DiffOp(1, {(2,): t})
+    assert N == Derivation.coordinate(1, 0) + DiffOp(1, {(2,): t})
     for i in range(5):
         f = t**i
         assert w(f) == apply_diffop(N, f)
+
+
+def test_derivation_mixes_with_diffop_as_a_plain_diffop():
+    # a Derivation is the first-order DiffOp with the same terms: it adds,
+    # subtracts, compares, hashes and composes as one, on either side
+    rng = Random(53)
+    one = RatFunc.one(2)
+    for _ in range(10):
+        dd = random_derivation(rng, 2, max_degree=1)
+        plain = DiffOp(2, dict(dd.terms))
+        E = random_diffop(rng, 2, 2, in_o0=False)  # identity term included
+        assert type(plain) is DiffOp and dd == plain and plain == dd
+        assert hash(dd) == hash(plain) and {plain: 1}[dd] == 1
+        for got, want in (
+            (dd + E, plain + E),
+            (E + dd, E + plain),
+            (dd - E, plain - E),
+            (E - dd, E - plain),
+            (compose(dd, E), compose(plain, E)),
+            (compose(E, dd), compose(E, plain)),
+            (compose(dd, dd), compose(plain, plain)),
+            (compose(dd, DiffOp.identity(2, 3)), plain.scale(3)),
+        ):
+            assert type(got) is DiffOp and got == want
+        assert (dd - plain).is_zero and (E + dd) - dd == E
+        # derivations stay derivations under sums, negations and scalings
+        for got in (dd + dd, -dd, dd.scale(RatFunc.variable(2, 0)), dd - dd):
+            assert type(got) is Derivation
+            assert got.in_o0 and got.degree <= 1
+        f = random_ratfunc(rng, 2)
+        assert (dd + E)(f) == dd(f) + E(f) and compose(E, dd)(f) == E(dd(f))
+        assert dd(one).is_zero
 
 
 def test_empty_word_is_scaled_identity():
@@ -150,19 +187,19 @@ def test_normalize_idempotent_via_reinterpretation():
 
 
 def test_compose_partials():
-    P = DiffOp.partial(1, 0)
+    P = Derivation.coordinate(1, 0)
     assert compose(P, P) == DiffOp(1, {(2,): 1})
 
 
 def test_compose_no_spurious_lower_term():
     # (t d) o d has no first-order part: the coefficient t is differentiated
     # only when it sits to the right of a derivative
-    P = DiffOp.partial(1, 0)
+    P = Derivation.coordinate(1, 0)
     assert compose(DiffOp(1, {(1,): t}), P) == DiffOp(1, {(2,): t})
 
 
 def test_compose_with_zero():
-    E = DiffOp.partial(1, 0) + DiffOp(1, {(2,): t})
+    E = Derivation.coordinate(1, 0) + DiffOp(1, {(2,): t})
     assert compose(E, DiffOp.zero(1)).is_zero
     assert compose(DiffOp.zero(1), E).is_zero
 
@@ -202,7 +239,7 @@ def test_symbol_derivative_terms():
     assert derived(DiffOp(1, {(3,): t}), (2,)) == DiffOp(1, {(1,): 6 * t})
     assert derived(DiffOp(1, {(2,): t}), (2,)) == DiffOp.identity(1, 2 * t)
     assert derived(DiffOp(1, {(2,): t}), (2,), identity=False).is_zero
-    assert derived(DiffOp.partial(2, 0), (0, 1)).is_zero
+    assert derived(Derivation.coordinate(2, 0), (0, 1)).is_zero
 
 
 def test_degree_conventions():
@@ -231,11 +268,11 @@ def test_o0_membership_iff_kills_one():
 
 
 def test_dimension_mismatch_rejected():
-    E1 = DiffOp.partial(1, 0)
-    E2 = DiffOp.partial(2, 0)
+    E1 = Derivation.coordinate(1, 0)
+    E2 = Derivation.coordinate(2, 0)
     with pytest.raises(DimensionMismatchError):
         compose(E1, E2)
     with pytest.raises(DimensionMismatchError):
         apply_diffop(E1, RatFunc.variable(2, 0))
     with pytest.raises(DimensionMismatchError):
-        apply_derivation(Derivation.coordinate(2, 0), t)
+        Derivation.coordinate(2, 0)(t)

@@ -66,7 +66,7 @@ def test_char2_modified_map_is_derivation_candidate_on_small_set():
     # witness needed D(x^2) = 1); nested defects still reach degree-3
     # products and are out of scope for this assertion
     assert rep.additive_ok
-    assert rep.is_derivation_on_tested
+    assert rep.derivation_witness is None
 
 
 def test_char2_order_check_evaluates_each_input_once():

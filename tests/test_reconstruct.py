@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from derivcalc.exactnum import RatFunc
-from derivcalc.deriv import DiffOp
+from derivcalc.deriv import Derivation, DiffOp
 from derivcalc.leibniz import MapTable
 from derivcalc.reconstruct import (
     DegreeOverflowError,
@@ -171,7 +171,7 @@ def test_fit_first_derivative_from_two_points():
     table = MapTable.from_pairs([(t, one1), (t + 1, one1)], 1)
     res = fit_operator(table, 1, require_o0=True)
     assert res.ok
-    assert res.operator == DiffOp.partial(1, 0)
+    assert res.operator == Derivation.coordinate(1, 0)
     assert res.solution_dim == 0
 
 
