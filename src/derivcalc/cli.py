@@ -60,11 +60,11 @@ from .sampling import DEFAULT_SEED, random_derivation, random_sparse_ratfunc
 
 
 class ExprSyntaxError(ValueError):
-    """Parse failure, carrying the byte offset of the offending token."""
+    """Parse failure, with the byte offset of the offending token, if any."""
 
-    def __init__(self, message: str, pos: int):
+    def __init__(self, message: str, pos: int | None = None):
         self.pos = pos
-        super().__init__(f"{message} (at offset {pos})")
+        super().__init__(message if pos is None else f"{message} (at offset {pos})")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def _unique_keys(pairs: list) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ExprSyntaxError(f"duplicate JSON key {key!r}", 0)
+            raise ExprSyntaxError(f"duplicate JSON key {key!r}")
         out[key] = value
     return out
 
@@ -347,7 +347,7 @@ def _json_int(digits: str):
 
 def _no_long_int(value, where: str) -> None:
     if type(value) is _LongInt:
-        raise ExprSyntaxError(f"{where}: {_too_long(value)}", 0)
+        raise ExprSyntaxError(f"{where}: {_too_long(value)}")
 
 
 def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
@@ -355,7 +355,7 @@ def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
     _no_long_int(value, where)
     # bool is an int subclass, and not an expression
     if not isinstance(value, str) and type(value) is not int:
-        raise ExprSyntaxError(f"{where} must be an expression string or an integer", 0)
+        raise ExprSyntaxError(f"{where} must be an expression string or an integer")
     return _parse(str(value), k, _Parser.expr, least_k)
 
 
@@ -365,7 +365,7 @@ def parse_table_json(raw: str, k: int) -> MapTable:
     _check_least_k(k)  # an empty table parses no expression
     data = _load_json_arg(raw)
     if not isinstance(data, dict):
-        raise ExprSyntaxError("table JSON must be an object", 0)
+        raise ExprSyntaxError("table JSON must be an object")
     pairs = []
     for key, val in data.items():
         pairs.append((parse_expr(key, k), _json_expr(val, f"table value {key!r}", k)))
@@ -376,13 +376,13 @@ def parse_grid_json(raw: str) -> GridValues:
     """GridValues JSON: {"k": int, "n": int, "values": {"i1,...,ik": expr}}."""
     data = _load_json_arg(raw)
     if not isinstance(data, dict) or not {"k", "n", "values"} <= set(data):
-        raise ExprSyntaxError('grid JSON needs "k", "n" and "values"', 0)
+        raise ExprSyntaxError('grid JSON needs "k", "n" and "values"')
     for field in ("k", "n"):
         _no_long_int(data[field], f'grid "{field}"')
         if type(data[field]) is not int:  # bool is an int subclass, and not a count
-            raise ExprSyntaxError(f'grid "{field}" must be a JSON integer', 0)
+            raise ExprSyntaxError(f'grid "{field}" must be a JSON integer')
     if not isinstance(data["values"], dict):
-        raise ExprSyntaxError('grid "values" must be a JSON object', 0)
+        raise ExprSyntaxError('grid "values" must be a JSON object')
     k, n = data["k"], data["n"]
     values = {}
     spelled = {}
@@ -391,9 +391,9 @@ def parse_grid_json(raw: str) -> GridValues:
             # the one node of a grid over no variables, (), is spelled ""
             idx = tuple(int(part) for part in key.split(",")) if key or k else ()
         except ValueError:
-            raise ExprSyntaxError(f"bad grid index {key!r}", 0)
+            raise ExprSyntaxError(f"bad grid index {key!r}")
         if idx in spelled:  # as "0" and "00": neither value may silently win
-            raise ExprSyntaxError(f"grid index {key!r} names the node {spelled[idx]!r} again", 0)
+            raise ExprSyntaxError(f"grid index {key!r} names the node {spelled[idx]!r} again")
         spelled[idx] = key
         # its values are constants, so a grid may have k = 0
         values[idx] = _json_expr(val, f"grid value {key!r}", k, least_k=0)
@@ -403,7 +403,7 @@ def parse_grid_json(raw: str) -> GridValues:
 def parse_exprs_json(raw: str, k: int) -> list[RatFunc]:
     data = _load_json_arg(raw)
     if not isinstance(data, list):
-        raise ExprSyntaxError("expected a JSON array of expression strings", 0)
+        raise ExprSyntaxError("expected a JSON array of expression strings")
     return [_json_expr(item, f"array item {i}", k) for i, item in enumerate(data)]
 
 
@@ -455,7 +455,7 @@ def _operator_from_args(args) -> DiffOp:
         return parse_diffop(args.op, args.k)
     if getattr(args, "word", None) is not None:
         return normalize(parse_word(args.word, args.k))
-    raise ExprSyntaxError("supply --op or --word", 0)
+    raise ExprSyntaxError("supply --op or --word")
 
 
 def _cmd_apply(args, seed):

@@ -40,7 +40,7 @@ from .exactnum import (
     zero_index,
 )
 from .deriv import DiffOp, leibniz_sum
-from .leibniz import CheckResult
+from .leibniz import CheckResult, _Memo
 
 # A map defined on nonzero field elements, e.g. x -> E(x)/x for an operator.
 SemigroupMap = Callable[[RatFunc], RatFunc]
@@ -90,23 +90,9 @@ def delta(g: RatFunc, f: SemigroupMap, x: RatFunc) -> RatFunc:
     return f(g * x) - f(x)
 
 
-def _iterated_delta(f, gs: Sequence[RatFunc], x: RatFunc, memo: dict) -> RatFunc:
-    """delta_{g1} ... delta_{gm} f(x), memoized on (suffix, point) pairs."""
-    if not gs:
-        got = memo.get(x)
-        if got is None:
-            got = f(x)
-            memo[x] = got
-        return got
-    key = (gs, x)
-    got = memo.get(key)
-    if got is None:
-        rest = gs[1:]
-        got = _iterated_delta(f, rest, gs[0] * x, memo) - _iterated_delta(
-            f, rest, x, memo
-        )
-        memo[key] = got
-    return got
+def _difference_step(level: SemigroupMap, g: RatFunc, z: RatFunc) -> RatFunc:
+    """One nesting of the difference: level(g*z) - level(z)."""
+    return level(g * z) - level(z)
 
 
 def gp_degree_check(
@@ -131,8 +117,10 @@ def gp_degree_check(
     summed over ordered tuples (b_1..b_m) of nonzero multi-indices with
     s = b_1+...+b_m and |s| <= deg E (see ``deriv.leibniz_sum``).  With
     m > deg E no tuple exists, so each difference is zero without
-    arithmetic.  Any other map is a black box and takes the memoized
-    recursion.  Both routes visit tuples and points in the same order.
+    arithmetic.  Any other map is a black box and takes ``_Memo.nest`` with
+    the difference step, the nesting that ``nested_defect`` uses, with one
+    memo for the whole check.  Both routes visit tuples and points in the
+    same order.
     """
     if n < -1:
         raise ValueError("degree bound must be at least -1")
@@ -154,10 +142,10 @@ def gp_degree_check(
             return v / prod(gs, start=x) if v else v
 
     else:
-        memo: dict = {}
+        memo = _Memo(f)
 
         def difference(gs, x):
-            return _iterated_delta(f, gs, x, memo)
+            return memo.nest(_difference_step, gs, x)
 
     for picks in combinations_with_replacement(range(len(increments)), n + 1):
         gs = tuple(increments[i] for i in picks)

@@ -18,8 +18,10 @@ s = b_1+...+b_m and |s| < deg E.  Here E~^(s) is the symbol derivative E^(s)
 without its identity term and c_0 the identity coefficient of E (see
 ``deriv.leibniz_sum``).  With m >= deg E and no identity part no tuple
 exists, so the vanishing half of Theorem 2 is structural: a zero check costs
-no arithmetic.  Any other map is a black box and takes the recursion, which
-evaluates the map at products of the nesting elements.
+no arithmetic.  Any other map is a black box and takes ``_Memo.nest``, the
+one memoized nesting, which evaluates the map at products of the nesting
+elements; ``genpoly`` nests its differences through it too.  On both
+routes m = 0 gives E(x): the 0-fold nesting is the map itself.
 
 Black-box maps can only be checked on finite data; ``order_upper_check``
 therefore reports sound evidence ("consistent with order <= n on the given
@@ -91,13 +93,22 @@ class CheckResult:
 
 
 class _Memo:
-    """Memoize a point map on exact arguments (safe: maps are pure)."""
+    """Memoize a point map, and the inner levels of its black-box nestings,
+    on exact arguments (safe: maps are pure).
+
+    ``nest(step, ys, z)`` is the map at z with ``step(level, y, z)`` applied
+    once per element of ys, the last element outermost; ``level`` is the
+    nesting one element shorter.  One table holds the map's values and the
+    inner levels, keyed on (step, ys, z), so a level shared by many tuples
+    is computed once.  The outermost level is not kept: each caller asks
+    for each tuple once.  ys = () is the map itself.
+    """
 
     __slots__ = ("fn", "table")
 
     def __init__(self, fn: PointMap):
         self.fn = fn
-        self.table: dict[RatFunc, RatFunc] = {}
+        self.table: dict = {}
 
     def __call__(self, x: RatFunc) -> RatFunc:
         got = self.table.get(x)
@@ -106,27 +117,46 @@ class _Memo:
             self.table[x] = got
         return got
 
+    def nest(self, step: Callable, ys: tuple, z: RatFunc) -> RatFunc:
+        if not ys:
+            return self(z)
+        inner = ys[:-1]
+
+        def level(w: RatFunc) -> RatFunc:
+            key = (step, inner, w)
+            got = self.table.get(key)
+            if got is None:
+                got = self.table[key] = self.nest(step, inner, w)
+            return got
+
+        return step(level if inner else self, ys[-1], z)
+
 
 def defect(D: PointMap, x: RatFunc, y: RatFunc) -> RatFunc:
     """B(x, y) = D(xy) - D(x)y - D(y)x."""
     return D(x * y) - D(x) * y - D(y) * x
 
 
+def _defect_step(level: PointMap, y: RatFunc, z: RatFunc) -> RatFunc:
+    """One nesting of the defect: level(zy) - y level(z) - z level(y)."""
+    return level(z * y) - y * level(z) - z * level(y)
+
+
 def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     """Iterated defect (((D_{y1})_{y2})...)_{ym}(x), where
     D_y(x) = D(xy) - y D(x) - x D(y).
 
-    With m = 1 this is defect(D, x, y1).  A map of order at most n has every
+    With m = 1 this is defect(D, x, y1), and with m = 0 it is D(x): the
+    0-fold nesting is the map itself.  A map of order at most n has every
     n-fold nesting identically zero.
 
     A ``DiffOp`` E, a ``Derivation`` included, takes the closed Leibniz
     form of the module docstring, sum over |s| < deg E of E~^(s)(x) * prod_i
     d^(b_i) y_i / b_i! plus (-1)^m * c_0 * x * y1 * ... * ym; it is zero
     without arithmetic when m >= deg E and E kills 1.  Any other map is a
-    black box and takes the recursion through its values at products.
+    black box and takes ``_Memo.nest`` with the defect step, through its
+    values at products; pass a ``_Memo`` to share levels across calls.
     """
-    if not ys:
-        raise ValueError("need at least one nesting element")
     if isinstance(D, DiffOp):
         value = leibniz_sum(D, x, ys, D.degree - 1, identity=False)
         c0 = D.terms.get(zero_index(D.k))
@@ -135,14 +165,7 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
             value = value - term if len(ys) % 2 else value + term
         return value
     memo = D if isinstance(D, _Memo) else _Memo(D)
-
-    def rec(z: RatFunc, depth: int) -> RatFunc:
-        if depth == 0:
-            return memo(z)
-        y = ys[depth - 1]
-        return rec(z * y, depth - 1) - y * rec(z, depth - 1) - z * rec(y, depth - 1)
-
-    return rec(x, len(ys))
+    return memo.nest(_defect_step, tuple(ys), x)
 
 
 def order_upper_check(
@@ -151,12 +174,12 @@ def order_upper_check(
     """Consistency of "order of D is at most n" with the given samples.
 
     Checks additivity on all sample pairs, D(1) = 0, and vanishing of every
-    n-fold nested defect built from sample tuples (for n = 0 this degenerates
-    to D vanishing on the samples).  Passing is evidence on the given data,
-    not a proof, for black-box maps.  A ``DiffOp``, a ``Derivation``
-    included, is additive by construction, so it skips the additivity check
-    and the memo, and goes to ``nested_defect`` as itself, so the defects
-    take the closed form.
+    n-fold nested defect built from sample tuples (the 0-fold one is D
+    itself).  Passing is evidence on the given data, not a proof, for
+    black-box maps.  A ``DiffOp``, a ``Derivation`` included, is additive
+    by construction, so it skips the additivity check and the memo, and
+    goes to ``nested_defect`` as itself, so the defects take the closed
+    form.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")
@@ -176,12 +199,6 @@ def order_upper_check(
     at_one = f(one)
     if not at_one.is_zero:
         return CheckResult(False, "does not annihilate 1", (one,), at_one)
-    if n == 0:
-        for x in samples:
-            v = f(x)
-            if not v.is_zero:
-                return CheckResult(False, "nonzero value at order 0", (x,), v)
-        return CheckResult(True, "consistent with order <= 0 on given data")
     for tup in product(samples, repeat=n + 1):
         v = nested_defect(f, tup[0], tup[1:])
         if not v.is_zero:

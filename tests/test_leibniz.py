@@ -113,9 +113,21 @@ def test_nested_defect_closed_form_matches_recursion(k, n):
     assert nonzero
 
 
-def test_nested_defect_requires_nesting_elements():
-    with pytest.raises(ValueError):
-        nested_defect(D2, t, ())
+@pytest.mark.parametrize(
+    "D",
+    [
+        DiffOp.zero(1),
+        DiffOp.identity(1, 3),
+        DiffOp.identity(1, 3) + D2,
+        Derivation([t * t + 1]),
+        lambda z: z * z,
+    ],
+    ids=["zero", "identity", "identity-plus-D2", "derivation", "lambda"],
+)
+def test_zero_fold_nested_defect_is_the_map(D):
+    # the 0-fold nesting is the map itself, on both routes
+    for x in (t, t**2 + 1, 1 / (t + 2)):
+        assert nested_defect(D, x, ()) == D(x)
 
 
 def test_defect_symmetry_and_biadditivity():
@@ -151,6 +163,16 @@ def test_order_check_fails_below_true_order():
 def test_zero_map_has_order_zero():
     res = order_upper_check(DiffOp.zero(1), 0, samples1())
     assert res.ok
+
+
+def test_order_zero_check_fails_on_the_0_fold_defect():
+    res = order_upper_check(D2, 0, samples1())
+    assert not res.ok
+    assert res.reason == "0-fold nested defect nonzero"
+    # D2 kills 1 and t, so the first sample it moves is t^2
+    assert res.witness == (t**2,) and res.value == 2
+    lam = order_upper_check(lambda z: D2(z), 0, samples1())
+    assert lam == res
 
 
 def test_order_check_rejects_non_additive_map():
