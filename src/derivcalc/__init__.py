@@ -32,6 +32,7 @@ from .leibniz import (
     nested_defect,
     order_exact,
     order_upper_check,
+    order_witness,
 )
 from .genpoly import (
     ExpPoly,
@@ -115,6 +116,7 @@ __all__ = [
     "normalize",
     "order_exact",
     "order_upper_check",
+    "order_witness",
     "over_identity",
     "parse_derivation",
     "parse_diffop",

@@ -602,8 +602,9 @@ def _cmd_demo(args, seed):
     else:
         rng = Random(seed)
         derivations = [random_derivation(rng, args.k) for _ in range(args.n)]
-    rep = theorem2_demo(derivations, seed=seed)
-    n, tried = rep.n, rep.witness_tuples_tried
+    rep = theorem2_demo(derivations)
+    n = rep.n
+    x, ys, value = rep.witness
     return rep.ok, [
         ("n", "n: {}", n),
         (None, "operator: {}", rep.operator),
@@ -611,11 +612,10 @@ def _cmd_demo(args, seed):
         ("expoly_degree", "exponent polynomial degree: {}", rep.expoly_degree),
         ("vanish_ok", f"{n}-fold nested defects vanish: {{}}", rep.vanish_ok),
         (
-            "witness_found",
-            f"({n - 1})-fold nonvanishing witness found: {{}} ({tried} tuples tried)",
-            rep.witness is not None,
+            "witness",
+            f"{n - 1}-fold nonvanishing witness: x = {{x}}, ys = ({{ys}}), value = {{value}}",
+            {"x": x, "ys": list(ys), "value": value},
         ),
-        ("witness_tuples_tried", None, tried),
         ("operator", None, rep.operator),
     ]
 
@@ -637,7 +637,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="seed for sampled checks (DERIVCALC_SEED overrides)",
+        help="seed for random inputs: demo theorem2 derivations, gpdeg increments "
+        "and points (DERIVCALC_SEED overrides)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

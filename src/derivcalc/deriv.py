@@ -170,19 +170,20 @@ class OpWord:
 
 def _materialize_partial(cache: dict, alpha: Monomial) -> RatFunc:
     """Iterated partial derivative d^alpha of cache[(0,..,0)], memoized in
-    `cache`.  Walks down to the nearest cached index (lowering the first
-    nonzero exponent each step), then derives back up; once a value is zero
-    every higher derivative is zero as well."""
-    chain = []
-    while alpha not in cache:
-        i = next(j for j, e in enumerate(alpha) if e)
-        chain.append((alpha, i))
-        alpha = mono_set(alpha, i, alpha[i] - 1)
-    value = cache[alpha]
-    for alpha, i in reversed(chain):
-        if value:
-            value = value.partial(i)
-        cache[alpha] = value
+    `cache`.  Climbs from the zero index, raising the last variable first,
+    derives only past cached indices, and stops at the first zero value:
+    every higher derivative is zero too, however large alpha is."""
+    at = zero_index(len(alpha))
+    value = cache[at]
+    for i in reversed(range(len(alpha))):
+        for e in range(1, alpha[i] + 1):
+            if not value:
+                return value
+            at = mono_set(at, i, e)
+            got = cache.get(at)
+            if got is None:
+                got = cache[at] = value.partial(i)
+            value = got
     return value
 
 

@@ -18,10 +18,12 @@ s = b_1+...+b_m and |s| < deg E.  Here E~^(s) is the symbol derivative E^(s)
 without its identity term and c_0 the identity coefficient of E (see
 ``deriv.leibniz_sum``).  With m >= deg E and no identity part no tuple
 exists, so the vanishing half of Theorem 2 is structural: a zero check costs
-no arithmetic.  Any other map is a black box and takes ``_Memo.nest``, the
-one memoized nesting, which evaluates the map at products of the nesting
-elements; ``genpoly`` nests its differences through it too.  On both
-routes m = 0 gives E(x): the 0-fold nesting is the map itself.
+no arithmetic; along coordinate variables exactly one tuple survives at
+m = deg E - 1, which gives the other half (``order_witness``).  Any other
+map is a black box and takes ``_Memo.nest``, the one memoized nesting,
+which evaluates the map at products of the nesting elements; ``genpoly``
+nests its differences through it too.  On both routes m = 0 gives E(x):
+the 0-fold nesting is the map itself.
 
 Black-box maps can only be checked on finite data; ``order_upper_check``
 therefore reports sound evidence ("consistent with order <= n on the given
@@ -36,7 +38,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
-from .exactnum import RatFunc, zero_index
+from .exactnum import RatFunc, grlex_key, mono_set, zero_index
 from .deriv import DiffOp, leibniz_sum
 
 # Anything that maps field elements to field elements: a DiffOp (a
@@ -217,3 +219,21 @@ def order_exact(E: DiffOp) -> int:
         raise NotInO0Error("operator has an identity component, E(1) != 0")
     d = E.degree
     return 0 if d < 0 else d
+
+
+def order_witness(E: DiffOp) -> tuple | None:
+    """(x, ys, value) with value = nested_defect(E, x, ys) != 0 and n - 1
+    elements in ys, where n = order_exact(E) >= 1: the nonvanishing half of
+    "order n".  For the graded-lex-top index alpha of E and the first l with
+    alpha_l > 0, x = t_l and ys repeats each t_j (alpha - e_l)_j times; as
+    d^b t_j != 0 for b != 0 only at b = e_j, one Leibniz tuple survives and
+    value = c_alpha * alpha!.  None for the zero operator; NotInO0Error as
+    ``order_exact``."""
+    if not order_exact(E):
+        return None
+    alpha = max(E.terms, key=grlex_key)
+    l = next(j for j, e in enumerate(alpha) if e)
+    x = RatFunc.variable(E.k, l)
+    rest = mono_set(alpha, l, alpha[l] - 1)
+    ys = tuple(RatFunc.variable(E.k, j) for j, e in enumerate(rest) for _ in range(e))
+    return x, ys, nested_defect(E, x, ys)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Mapping
 
-from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key, zero_index
+from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key, mono_set, zero_index
 from .deriv import DiffOp, _materialize_partial
 from .leibniz import MapTable
 
@@ -148,10 +148,12 @@ def newton_coeffs(
     """Falling-factorial coefficients of the function tabulated on a cube
     grid {0..n}^k, via forward differences at the origin:
 
-        c_j = (sum over m <= j of (-1)^{|j - m|} binom(j, m) p(m)) / j!
+        c_j = (delta_1^{j1} ... delta_k^{jk} p)(0) / j!
 
-    The expansion sum_j c_j * i^(falling j) re-evaluates to p on every grid
-    node (exact interpolation).
+    The differences are taken in place, one axis at a time, each level
+    stepping down the exponents (descending nodes come before the node
+    they subtract).  The expansion sum_j c_j * i^(falling j) re-evaluates
+    to p on every grid node (exact interpolation).
     """
     if not p_values:
         raise IncompleteGridError("empty grid")
@@ -160,21 +162,16 @@ def newton_coeffs(
     n = max(max(idx, default=0) for idx in p_values)
     if any(_cube_gaps(p_values, k, n)):
         raise IncompleteGridError(f"grid must be the full cube {{0..{n}}}^{k}")
+    nodes = sorted(p_values)
+    diffs = dict(p_values)
+    for axis in range(k):
+        for level in range(1, n + 1):
+            for m in reversed(nodes):
+                if m[axis] >= level:
+                    diffs[m] = diffs[m] - diffs[mono_set(m, axis, m[axis] - 1)]
     out: dict[Monomial, RatFunc] = {}
-    for j in product(range(n + 1), repeat=k):
-        acc = None
-        for m in product(*(range(e + 1) for e in j)):
-            w = 1
-            for je, me in zip(j, m):
-                w *= math.comb(je, me)
-                if (je - me) & 1:
-                    w = -w
-            term = p_values[m] * w
-            acc = term if acc is None else acc + term
-        fact = 1
-        for je in j:
-            fact *= math.factorial(je)
-        c = acc * Fraction(1, fact)
+    for j in nodes:
+        c = diffs[j] * Fraction(1, math.prod(map(math.factorial, j)))
         if not c.is_zero:
             out[j] = c
     return out

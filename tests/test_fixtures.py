@@ -156,6 +156,11 @@ def test_theorem2_repeated_coordinate_derivation():
     d = Derivation.coordinate(1, 0)
     rep = theorem2_demo([d, d])
     assert rep.ok
+    # the coordinate witness of d[2]: B_t1(t1) = c_alpha * alpha! = 2
+    t1 = RatFunc.variable(1, 0)
+    assert rep.witness == (t1, (t1,), RatFunc.const(1, 2))
+    with pytest.raises(TypeError):
+        theorem2_demo([d, d], seed=1)  # nothing is sampled
     assert rep.degree == 2 and rep.expoly_degree == 2
     from derivcalc.genpoly import exponent_polynomial
     from derivcalc.genpoly import ExpPoly
@@ -173,14 +178,24 @@ def test_theorem2_mixed_two_variable_composition():
     rep = theorem2_demo([d1, mixed])
     assert rep.ok
     assert rep.degree == 2 and rep.expoly_degree == 2
+    # top index (2,0) with coefficient t1: value t1 * 2!
+    assert rep.witness == (t1, (t1,), 2 * t1)
+    with pytest.raises(TypeError):
+        theorem2_demo([d1, mixed], seed=1)
 
 
 def test_theorem2_single_derivation():
     rep = theorem2_demo([Derivation.coordinate(1, 0)])
     assert rep.ok
     assert rep.degree == 1
+    # the 0-fold nesting is the map itself: d/dt1 at t1 is 1
+    assert rep.witness == (RatFunc.variable(1, 0), (), RatFunc.one(1))
+    with pytest.raises(TypeError):
+        theorem2_demo([Derivation.coordinate(1, 0)], seed=1)
 
 
 def test_theorem2_rejects_zero_derivation():
     with pytest.raises(ValueError):
         theorem2_demo([Derivation.zero(2)])
+    with pytest.raises(TypeError):
+        theorem2_demo([Derivation.coordinate(2, 0)], seed=1)

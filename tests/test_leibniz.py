@@ -14,6 +14,7 @@ from derivcalc.leibniz import (
     nested_defect,
     order_exact,
     order_upper_check,
+    order_witness,
 )
 from derivcalc.sampling import (
     random_defect_tuple,
@@ -241,6 +242,32 @@ def test_order_exact_zero_map():
 def test_order_exact_rejects_identity_component():
     with pytest.raises(NotInO0Error):
         order_exact(DiffOp.identity(1, 5))
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(1, 5)])
+def test_order_witness_is_c_alpha_times_alpha_factorial(k, n):
+    # the coordinate witness against c_alpha * alpha! and against the
+    # black-box recursion (a lambda), on a composition of n derivations and
+    # on a random O0 operator with non-monomial denominators
+    rng = Random(700 + 10 * k + n)
+    ds = [random_derivation(rng, k, max_degree=1) for _ in range(n)]
+    for E in (
+        normalize(OpWord.composition(ds)),
+        random_diffop(rng, k, n, den_style="poly", fill=0.3),
+    ):
+        x, ys, value = order_witness(E)
+        assert len(ys) == n - 1
+        alpha = max(a for a in E.terms if sum(a) == n)  # graded-lex top
+        assert value == E.terms[alpha] * math.prod(map(math.factorial, alpha))
+        assert not value.is_zero
+        assert value == nested_defect(lambda z: E(z), x, ys)
+
+
+def test_order_witness_edge_cases():
+    assert order_witness(DiffOp.zero(2)) is None
+    assert order_witness(D2) == (t, (t,), RatFunc.const(1, 2))
+    with pytest.raises(NotInO0Error):
+        order_witness(DiffOp.identity(1, 5) + D2)
 
 
 def test_exact_order_of_compositions_small():
