@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from .exactnum import GF2Poly, MultiPoly
@@ -68,18 +68,23 @@ def char2_order_check(
 ) -> Char2OrderReport:
     """Exhaustive check over all F2[x] inputs of degree <= max_degree:
     additivity of D, vanishing of all 2-fold nested defects, and a search
-    for a product-rule failure witnessing that D is not a derivation."""
+    for a product-rule failure witnessing that D is not a derivation.
+
+    All three defects are symmetric in their arguments for any map, so the
+    2-fold defects are checked as multisets of inputs, as are the pairs;
+    the witness is still the first failing ordered pair, which is sorted.
+    """
     # one memo for the whole check: every nested defect reuses the values
     D = _Memo(char2_D if D is None else D)
     elems = list(GF2Poly.all_up_to_degree(max_degree))
-    additive_ok = all(D(x + y) == D(x) + D(y) for x in elems for y in elems)
-    defects2 = True
-    for x, y1, y2 in product(elems, repeat=3):
-        if not nested_defect(D, x, (y1, y2)).is_zero:
-            defects2 = False
-            break
+    pairs = list(combinations_with_replacement(elems, 2))
+    additive_ok = all(D(x + y) == D(x) + D(y) for x, y in pairs)
+    defects2 = all(
+        nested_defect(D, x, (y1, y2)).is_zero
+        for x, y1, y2 in combinations_with_replacement(elems, 3)
+    )
     witness = None
-    for x, y in product(elems, repeat=2):
+    for x, y in pairs:
         b = defect(D, x, y)
         if not b.is_zero:
             witness = (x, y, b)

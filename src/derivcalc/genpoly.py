@@ -108,7 +108,9 @@ def gp_degree_check(
     Difference operators commute, so increment tuples are enumerated without
     regard to order (the commutation law itself is covered by tests).  n = -1
     asks for the zero map.  Failure reports the witness (increments-tuple,
-    point, value); passing is evidence on the data only.
+    point, value); passing is evidence on the data only.  ``checked`` counts
+    the (increments-tuple, point) pairs evaluated: C(s + n, n + 1) * p for s
+    increments and p points when the check passes.
 
     A map made by ``over_identity(E)`` takes the closed Leibniz form
 
@@ -147,15 +149,19 @@ def gp_degree_check(
         def difference(gs, x):
             return memo.nest(_difference_step, gs, x)
 
+    checked = 0
     for picks in combinations_with_replacement(range(len(increments)), n + 1):
         gs = tuple(increments[i] for i in picks)
         for x in points:
+            checked += 1
             v = difference(gs, x)
             if not v.is_zero:
                 return CheckResult(
-                    False, f"{n + 1}-fold difference nonzero", (gs, x), v
+                    False, f"{n + 1}-fold difference nonzero", (gs, x), v, checked
                 )
-    return CheckResult(True, f"all {n + 1}-fold differences vanish on given data")
+    return CheckResult(
+        True, f"all {n + 1}-fold differences vanish on given data", checked=checked
+    )
 
 
 # ---------------------------------------------------------------------------

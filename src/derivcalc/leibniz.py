@@ -29,12 +29,21 @@ Black-box maps can only be checked on finite data; ``order_upper_check``
 therefore reports sound evidence ("consistent with order <= n on the given
 samples"), not a proof.  Exact decisions are reserved for canonical
 operators.
+
+The nested defect at Z = (x, y1..ym) is symmetric in all m+1 arguments for
+any map on a commutative ring, additive or not: unrolled, it is the sum over
+nonempty S of Z of (-1)^|Z\\S| * prod(Z\\S) * D(prod S).  The additivity
+defect D(x+y) - D(x) - D(y) is symmetric too.  So the sampled checks visit
+multisets of sample positions, not ordered tuples, and their witnesses are
+those of the ordered enumeration: the first failing ordered tuple in
+``product`` order is sorted by position (its sorted permutation has the
+same value and comes no later), so it is also the first failing multiset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, Sequence
 
@@ -83,12 +92,15 @@ class MapTable:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a sampled check; `witness` names the violating data."""
+    """Outcome of a sampled check; `witness` names the violating data and
+    `checked` counts the tuples (or increment tuple and point pairs) that
+    were evaluated, the failing one included."""
 
     ok: bool
     reason: str = ""
     witness: tuple | None = None
     value: RatFunc | None = None
+    checked: int = 0
 
     def __bool__(self):
         return self.ok
@@ -182,6 +194,11 @@ def order_upper_check(
     by construction, so it skips the additivity check and the memo, and
     goes to ``nested_defect`` as itself, so the defects take the closed
     form.
+
+    Both defects are symmetric, so pairs and (n+1)-tuples are multisets of
+    sample positions, with the witness of the ordered enumeration (see the
+    module docstring).  ``checked`` counts the n-fold defect tuples
+    evaluated: C(s + n, n + 1) for s samples when the check passes.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")
@@ -192,7 +209,7 @@ def order_upper_check(
         f = D
     else:
         f = _Memo(D)
-        for x, y in product(samples, repeat=2):
+        for x, y in combinations_with_replacement(samples, 2):
             lhs = f(x + y)
             rhs = f(x) + f(y)
             if lhs != rhs:
@@ -201,11 +218,13 @@ def order_upper_check(
     at_one = f(one)
     if not at_one.is_zero:
         return CheckResult(False, "does not annihilate 1", (one,), at_one)
-    for tup in product(samples, repeat=n + 1):
+    checked = 0
+    for tup in combinations_with_replacement(samples, n + 1):
+        checked += 1
         v = nested_defect(f, tup[0], tup[1:])
         if not v.is_zero:
-            return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v)
-    return CheckResult(True, f"consistent with order <= {n} on given data")
+            return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v, checked)
+    return CheckResult(True, f"consistent with order <= {n} on given data", checked=checked)
 
 
 def order_exact(E: DiffOp) -> int:

@@ -1,12 +1,15 @@
 """Counterexample fixtures: characteristic 2, product rings, exact order."""
 
+import math
 from itertools import product
+from random import Random
 
 import pytest
 
 from derivcalc.exactnum import GF2Poly, MultiPoly, RatFunc
 from derivcalc.deriv import Derivation
 from derivcalc.fixtures import (
+    Char2OrderReport,
     PairPoly,
     char2_D,
     char2_compose_check,
@@ -16,6 +19,7 @@ from derivcalc.fixtures import (
     product_ring_demo,
     theorem2_demo,
 )
+from derivcalc.leibniz import _Memo, defect, nested_defect
 
 x = GF2Poly.x()
 
@@ -84,6 +88,63 @@ def test_char2_order_check_evaluates_each_input_once():
         # <= max_degree, and there are 2**(3*max_degree+1) such polynomials
         assert len(calls) <= 2 ** (3 * max_degree + 1)
         assert len(calls) == len(set(calls))
+
+
+def _char2_order_check_ordered(max_degree, D):
+    """``char2_order_check`` over ordered pairs and triples in ``product``
+    order, first witness wins: the reference for the multiset enumeration."""
+    D = _Memo(D)
+    elems = list(GF2Poly.all_up_to_degree(max_degree))
+    witness = None
+    for p, q in product(elems, repeat=2):
+        b = defect(D, p, q)
+        if not b.is_zero:
+            witness = (p, q, b)
+            break
+    return Char2OrderReport(
+        max_degree=max_degree,
+        additive_ok=all(D(p + q) == D(p) + D(q) for p, q in product(elems, repeat=2)),
+        defects2_vanish=all(
+            nested_defect(D, p, (q1, q2)).is_zero for p, q1, q2 in product(elems, repeat=3)
+        ),
+        d_of_x=D(x),
+        d_of_x2=D(x**2),
+        derivation_witness=witness,
+    )
+
+
+def _char2_third(p):
+    """x^i -> binom(i, 3) x^(i-3) over F2: additive, 2-fold defects nonzero."""
+    out = GF2Poly.zero()
+    for i in range(3, p.bits.bit_length()):
+        if p.coeff(i) and math.comb(i, 3) & 1:
+            out = out + GF2Poly.monomial(i - 3)
+    return out
+
+
+def test_char2_order_check_multisets_match_ordered_enumeration():
+    # a seeded corpus of GF(2) maps: second order (with and without a
+    # derivation added), derivations (no witness), maps with D(1) != 0,
+    # order-bound violations and non-additive maps, some of them additive
+    # on low degrees only
+    rng = Random(1729)
+    families = [
+        lambda b: char2_D,
+        lambda b: lambda p: char2_D(p) + b * p.formal_derivative(),
+        lambda b: lambda p: b * p.formal_derivative(),
+        lambda b: lambda p: char2_D(p) + b * p,
+        lambda b: _char2_third,
+        lambda b: lambda p: char2_D(p) + b * p * p * p,
+        lambda b: lambda p: char2_D(p) + (b * p * p * p if p.degree > 2 else GF2Poly.zero()),
+    ]
+    seen = set()
+    for i in range(2 * len(families)):
+        D = families[i % len(families)](GF2Poly(rng.randrange(1, 16)))
+        max_degree = 3 if i < len(families) else rng.randint(1, 2)
+        rep = char2_order_check(max_degree=max_degree, D=D)
+        assert rep == _char2_order_check_ordered(max_degree, D)
+        seen.add((rep.additive_ok, rep.defects2_vanish, rep.derivation_witness is None))
+    assert len(seen) >= 4
 
 
 def test_char2_compose_identity_values():

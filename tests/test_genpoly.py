@@ -1,5 +1,6 @@
 """Multiplicative differences, exponent polynomials, degree calculus."""
 
+import math
 from itertools import product
 from random import Random
 
@@ -92,6 +93,7 @@ def test_degree_check_refutes_level_zero():
     res = gp_degree_check(f, 0, [t + 1], [t])
     assert not res.ok
     assert res.value == 1 / (t + 1)
+    assert res.checked == 1
 
 
 def test_identity_map_defeats_any_level():
@@ -121,6 +123,18 @@ def test_degree_check_closed_form_matches_recursion(k, n):
             if level >= E.degree:
                 assert fast.ok
     assert failures
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_passing_degree_check_counts_tuple_point_pairs(n):
+    # C(s + n, n + 1) increment multisets over s increment positions (one
+    # repeats), each at every point, on both routes
+    rng = Random(80 + n)
+    E = random_diffop(rng, 1, n, in_o0=False) if n >= 0 else DiffOp.zero(1)
+    incs, points = [t + 1, t**2, t + 1], [t, t + 2]
+    for f in (over_identity(E), lambda z: E(z) / z):
+        res = gp_degree_check(f, n, incs, points)
+        assert res.ok and res.checked == math.comb(len(incs) + n, n + 1) * len(points)
 
 
 def test_degree_check_level_minus_one_is_zero_test():

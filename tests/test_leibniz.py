@@ -1,13 +1,17 @@
 """Defect calculus: B(x, y), nested defects, order checks."""
 
 import math
+from dataclasses import replace
+from itertools import combinations_with_replacement, permutations, product
 from random import Random
 
 import pytest
 
-from derivcalc.exactnum import RatFunc
+from derivcalc.exactnum import GF2Poly, RatFunc
 from derivcalc.deriv import Derivation, DiffOp, OpWord, normalize
+from derivcalc.fixtures import char2_D
 from derivcalc.leibniz import (
+    CheckResult,
     MapTable,
     NotInO0Error,
     defect,
@@ -131,6 +135,29 @@ def test_zero_fold_nested_defect_is_the_map(D):
         assert nested_defect(D, x, ()) == D(x)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_nested_defect_is_symmetric_in_all_arguments(m):
+    # the m-fold nested defect at (x, y1..ym) takes one value over all
+    # (m+1)! orderings for any map on a commutative ring, additive or not:
+    # the fact that lets the sampled checks enumerate multisets
+    rng = Random(500 + m)
+    b = GF2Poly(rng.randrange(1, 32))
+    cases = [
+        # non-additive over Q(t); each z * t + 1, and each product of them, has
+        # constant term 1, so z + 3 is never zero
+        (
+            lambda z: z**3 + 1 / (z + 3),
+            [random_sparse_ratfunc(rng, 1, max_degree=2) * t + 1 for _ in range(m + 1)],
+        ),
+        # a GF(2) black box
+        (lambda p: char2_D(p) + b * p * p, [GF2Poly(rng.randrange(2, 64)) for _ in range(m + 1)]),
+    ]
+    for D, zs in cases:
+        values = {nested_defect(D, z[0], z[1:]) for z in permutations(zs)}
+        assert len(values) == 1
+        assert not values.pop().is_zero
+
+
 def test_defect_symmetry_and_biadditivity():
     rng = Random(37)
     for _ in range(8):
@@ -204,6 +231,71 @@ def test_order_check_on_operators_matches_black_box(D, n, samples):
     # a DiffOp or Derivation reaches nested_defect as itself (closed form);
     # the lambda takes the recursion, and the whole CheckResult must agree
     assert order_upper_check(D, n, samples) == order_upper_check(lambda z: D(z), n, samples)
+
+
+def _order_upper_check_ordered(D, n, samples):
+    """``order_upper_check`` over ordered pairs and tuples in ``product``
+    order, first failure wins: the reference for the multiset enumeration."""
+    if not isinstance(D, DiffOp):
+        for x, y in product(samples, repeat=2):
+            lhs, rhs = D(x + y), D(x) + D(y)
+            if lhs != rhs:
+                return CheckResult(False, "not additive", (x, y), lhs - rhs)
+    one = RatFunc.one(samples[0].k)
+    if not D(one).is_zero:
+        return CheckResult(False, "does not annihilate 1", (one,), D(one))
+    for tup in product(samples, repeat=n + 1):
+        v = nested_defect(D, tup[0], tup[1:])
+        if not v.is_zero:
+            return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v)
+    return CheckResult(True, f"consistent with order <= {n} on given data")
+
+
+def _order_check_corpus(rng):
+    """(D, n, samples) cases: passing maps, order-bound violations, maps with
+    D(1) != 0, non-additive maps, and samples that repeat an element.  Each
+    sample list starts with 1, so the first tuples pass and a failure, when
+    there is one, sits further in."""
+    for i in range(12):
+        deg = 1 + i % 3
+        E = random_diffop(rng, 1, deg, den_style="one")
+        x, y = (random_sparse_ratfunc(rng, 1, max_degree=2) * t + 1 for _ in range(2))
+        samples = [RatFunc.one(1), x, y] if i % 2 else [RatFunc.one(1), x, x, y]
+        c = RatFunc.const(1, rng.randint(1, 5))
+        # additive only where the numerator has degree <= 1
+        big_square = lambda z, E=E: E(z) + (z * z if z.num.degree > 1 else 0)
+        yield E, deg, samples  # passes
+        yield lambda z, E=E: E(z), deg, samples  # passes, as a black box
+        yield E, deg - 1, samples  # an order-bound violation
+        yield lambda z, E=E: E(z), deg - 1, samples
+        yield E + DiffOp.identity(1, c), deg, samples  # D(1) = c != 0
+        yield lambda z, E=E, c=c: E(z) + c * z, deg, samples
+        yield big_square, deg, samples  # not additive
+        yield lambda z, E=E: E(z) + z**3 + 1 / (z * z + 1), deg, samples
+
+
+def test_order_check_multisets_match_ordered_enumeration():
+    outcomes = set()
+    for D, n, samples in _order_check_corpus(Random(61)):
+        res = order_upper_check(D, n, samples)
+        ref = _order_upper_check_ordered(D, n, samples)
+        assert replace(res, checked=0) == ref  # the reference counts nothing
+        if "nested defect" in res.reason:
+            # the witness is the checked-th multiset
+            tuples = list(combinations_with_replacement(samples, n + 1))
+            assert tuples.index(res.witness) + 1 == res.checked
+        outcomes.add(res.reason.split()[-1])
+    assert outcomes == {"data", "nonzero", "1", "additive"}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_passing_order_check_counts_multisets(n):
+    rng = Random(71 + n)
+    E = random_diffop(rng, 1, n) if n else DiffOp.zero(1)
+    samples = [RatFunc.one(1), t, t**2 + 1, t, 1 / (t + 2)]  # t repeats
+    for D in (E, lambda z: E(z)):
+        res = order_upper_check(D, n, samples)
+        assert res.ok and res.checked == math.comb(len(samples) + n, n + 1)
 
 
 def test_closedness_echo_on_restriction_tables():
