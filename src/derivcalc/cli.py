@@ -43,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
-from .exactnum import DimensionMismatchError, GF2Poly, PoleError, RatFunc, add_terms, zero_index
+from .exactnum import DimensionMismatchError, GF2Poly, RatFunc, add_terms, zero_index
 from .deriv import Derivation, DiffOp, OpWord, compose, normalize
 from .genpoly import exponent_polynomial, gp_degree_check, over_identity
 from .leibniz import MapTable, NotInO0Error, nested_defect, order_exact
@@ -228,10 +228,11 @@ class _Parser:
         while self.accept("MINUS"):
             sign = -sign
         if self.peek().kind == "DOP":
-            return self.d_atom(), RatFunc.const(self.k, sign)
-        coef = self.term(stop_at_d=True) * sign
-        if not self.accept("STAR"):
-            return zero_index(self.k), coef
+            coef = RatFunc.const(self.k, sign)
+        else:
+            coef = self.term(stop_at_d=True) * sign
+            if not self.accept("STAR"):
+                return zero_index(self.k), coef
         alpha = self.d_atom()
         nxt = self.peek()
         if nxt.kind in ("STAR", "SLASH", "CARET"):
@@ -751,7 +752,7 @@ def _run(argv) -> int:
         # rendering converts field elements to str, which can fail too
         # (an int past the interpreter's digit limit)
         out = _render(record, args.json)
-    except (NotInO0Error, PoleError) as exc:
+    except NotInO0Error as exc:
         if args.json:
             print(json.dumps({"error": str(exc)}))
         else:

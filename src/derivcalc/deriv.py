@@ -137,12 +137,6 @@ class OpWord:
         k = derivations[0].k
         return cls(k, [(coef, tuple(derivations))])
 
-    def __add__(self, other):
-        if not isinstance(other, OpWord):
-            return NotImplemented
-        check_k(self.k, other.k)
-        return OpWord(self.k, list(self.words) + list(other.words))
-
     def __call__(self, f: RatFunc) -> RatFunc:
         """Apply directly, word by word, without normalizing first."""
         total = RatFunc.zero(self.k)

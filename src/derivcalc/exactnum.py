@@ -868,15 +868,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        return self.num.constant_value()
-
     # -- field operations ---------------------------------------------------
 
     def _coerce(self, other):
@@ -1187,8 +1178,6 @@ class GF2Poly:
         return GF2Poly(out)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.bits == other and other in (0, 1)
         if not isinstance(other, GF2Poly):
             return NotImplemented
         return self.bits == other.bits

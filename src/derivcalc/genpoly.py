@@ -87,10 +87,10 @@ def delta(g: RatFunc, f: SemigroupMap, x: RatFunc) -> RatFunc:
         raise ValueError("increment must be nonzero")
     if x.is_zero:
         raise ValueError("point must be a nonzero field element")
-    return f(g * x) - f(x)
+    return _difference_step(f, x, g)
 
 
-def _difference_step(level: SemigroupMap, g: RatFunc, z: RatFunc) -> RatFunc:
+def _difference_step(level: SemigroupMap, z: RatFunc, g: RatFunc) -> RatFunc:
     """One nesting of the difference: level(g*z) - level(z)."""
     return level(g * z) - level(z)
 

@@ -1,6 +1,6 @@
 """Product-rule defect calculus for additive maps on Q(t1..tk).
 
-For a map D the defect B(x, y) = D(xy) - D(x)y - D(y)x measures the failure
+For a map D the defect B(x, y) = D(xy) - y D(x) - x D(y) measures the failure
 of the product rule; D is a derivation exactly when B vanishes.  Nesting the
 defect construction repeatedly drives down the "order" of a map: a canonical
 operator of degree n that kills constants has every n-fold nested defect
@@ -28,7 +28,9 @@ the 0-fold nesting is the map itself.
 Black-box maps can only be checked on finite data; ``order_upper_check``
 therefore reports sound evidence ("consistent with order <= n on the given
 samples"), not a proof.  Exact decisions are reserved for canonical
-operators.
+operators.  The black-box route uses only +, -, * and ** 0 of its
+arguments, so it runs over any commutative ring with a unit: the fixtures
+check maps on GF(2)[x] and on Q[x] x Q[x] with it, where Theorem 2 fails.
 
 The nested defect at Z = (x, y1..ym) is symmetric in all m+1 arguments for
 any map on a commutative ring, additive or not: unrolled, it is the sum over
@@ -86,9 +88,6 @@ class MapTable:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -110,12 +109,13 @@ class _Memo:
     """Memoize a point map, and the inner levels of its black-box nestings,
     on exact arguments (safe: maps are pure).
 
-    ``nest(step, ys, z)`` is the map at z with ``step(level, y, z)`` applied
-    once per element of ys, the last element outermost; ``level`` is the
-    nesting one element shorter.  One table holds the map's values and the
-    inner levels, keyed on (step, ys, z), so a level shared by many tuples
-    is computed once.  The outermost level is not kept: each caller asks
-    for each tuple once.  ys = () is the map itself.
+    ``nest(step, ys, z)`` is the map at z with ``step(level, z, y)`` applied
+    once per element y of ys, the last element outermost; ``level`` is the
+    nesting one element shorter.  ``defect`` is the defect step.  One table
+    holds the map's values and the inner levels, keyed on (step, ys, z), so
+    a level shared by many tuples is computed once.  The outermost level is
+    not kept: each caller asks for each tuple once.  ys = () is the map
+    itself.
     """
 
     __slots__ = ("fn", "table")
@@ -143,17 +143,13 @@ class _Memo:
                 got = self.table[key] = self.nest(step, inner, w)
             return got
 
-        return step(level if inner else self, ys[-1], z)
+        return step(level if inner else self, z, ys[-1])
 
 
 def defect(D: PointMap, x: RatFunc, y: RatFunc) -> RatFunc:
-    """B(x, y) = D(xy) - D(x)y - D(y)x."""
-    return D(x * y) - D(x) * y - D(y) * x
-
-
-def _defect_step(level: PointMap, y: RatFunc, z: RatFunc) -> RatFunc:
-    """One nesting of the defect: level(zy) - y level(z) - z level(y)."""
-    return level(z * y) - y * level(z) - z * level(y)
+    """B(x, y) = D(xy) - y D(x) - x D(y); also the defect step of
+    ``_Memo.nest``, with D the inner level."""
+    return D(x * y) - y * D(x) - x * D(y)
 
 
 def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
@@ -168,8 +164,9 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     form of the module docstring, sum over |s| < deg E of E~^(s)(x) * prod_i
     d^(b_i) y_i / b_i! plus (-1)^m * c_0 * x * y1 * ... * ym; it is zero
     without arithmetic when m >= deg E and E kills 1.  Any other map is a
-    black box and takes ``_Memo.nest`` with the defect step, through its
-    values at products; pass a ``_Memo`` to share levels across calls.
+    black box, on any commutative ring, and takes ``_Memo.nest`` with
+    ``defect`` as the step, through its values at products; pass a
+    ``_Memo`` to share levels across calls.
     """
     if isinstance(D, DiffOp):
         value = leibniz_sum(D, x, ys, D.degree - 1, identity=False)
@@ -179,7 +176,7 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
             value = value - term if len(ys) % 2 else value + term
         return value
     memo = D if isinstance(D, _Memo) else _Memo(D)
-    return memo.nest(_defect_step, tuple(ys), x)
+    return memo.nest(defect, tuple(ys), x)
 
 
 def order_upper_check(
@@ -189,8 +186,10 @@ def order_upper_check(
 
     Checks additivity on all sample pairs, D(1) = 0, and vanishing of every
     n-fold nested defect built from sample tuples (the 0-fold one is D
-    itself).  Passing is evidence on the given data, not a proof, for
-    black-box maps.  A ``DiffOp``, a ``Derivation`` included, is additive
+    itself), and stops at the first law that fails.  The samples may come
+    from any commutative ring with a unit: 1 is ``samples[0] ** 0``.
+    Passing is evidence on the given data, not a proof, for black-box
+    maps.  A ``DiffOp``, a ``Derivation`` included, is additive
     by construction, so it skips the additivity check and the memo, and
     goes to ``nested_defect`` as itself, so the defects take the closed
     form.
@@ -204,7 +203,6 @@ def order_upper_check(
         raise ValueError("order bound must be nonnegative")
     if not samples:
         raise ValueError("need at least one sample")
-    k = samples[0].k
     if isinstance(D, DiffOp):
         f = D
     else:
@@ -214,7 +212,7 @@ def order_upper_check(
             rhs = f(x) + f(y)
             if lhs != rhs:
                 return CheckResult(False, "not additive", (x, y), lhs - rhs)
-    one = RatFunc.one(k)
+    one = samples[0] ** 0
     at_one = f(one)
     if not at_one.is_zero:
         return CheckResult(False, "does not annihilate 1", (one,), at_one)

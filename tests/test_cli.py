@@ -644,6 +644,53 @@ def test_cli_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "op, offset",
+    [("2 * d[1] * t1", 9), ("d[1] * t1", 5), ("d[1]^2", 4), ("d[1] / 2", 5), ("-d[1] * t1", 6)],
+)
+def test_cli_factor_after_d_is_one_parse_error(capsys, op, offset):
+    # with a coefficient before d[...] or without one, the same message
+    # at the offset of the operator that follows d[...]
+    code, out, err = run_cli(capsys, "apply", "--k", "1", "--op", op, "--expr", "t1")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: coefficient factors must precede d[...] (at offset {offset})\n"
+
+
+def test_cli_apply_subtracted_operator_term(capsys):
+    code, out, err = run_cli(
+        capsys, "apply", "--k", "1", "--op", "d[2] - t1*d[1]", "--expr", "t1^3"
+    )
+    assert (code, out, err) == (0, "result: -3*t1^3 + 6*t1\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["apply", "--k", "1", "--op", "1/0 * d[1]", "--expr", "t1"],
+            "zero denominator in rational (at offset 2)",
+        ),
+        (
+            ["apply", "--k", "2", "--deriv", "t3 -> 1", "--expr", "t1"],
+            "unknown variable t3 (at offset 0)",
+        ),
+        (
+            ["apply", "--k", "1", "--deriv", "t1 -> 1; t1 -> 2", "--expr", "t1"],
+            "duplicate image for t1 (at offset 9)",
+        ),
+        (["fit", "--k", "1", "--n", "1", "--table", "[]"], "table JSON must be an object"),
+        (["reconstruct", "--grid", "{}"], 'grid JSON needs "k", "n" and "values"'),
+        (
+            ["recurrence", "--coeffs", "{}", "--seq", "[]"],
+            "expected a JSON array of expression strings",
+        ),
+    ],
+)
+def test_cli_reader_errors_name_their_cause(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert main(["order", "--k", "1", "--bogus"]) == 2
 

@@ -19,7 +19,7 @@ from derivcalc.fixtures import (
     product_ring_demo,
     theorem2_demo,
 )
-from derivcalc.leibniz import _Memo, defect, nested_defect
+from derivcalc.leibniz import _Memo, defect, nested_defect, order_upper_check
 
 x = GF2Poly.x()
 
@@ -147,6 +147,45 @@ def test_char2_order_check_multisets_match_ordered_enumeration():
     assert len(seen) >= 4
 
 
+def _char2_corpus():
+    """(D, max_degree) for the maps of the corpus above, drawn with the
+    same seed in the same order."""
+    rng = Random(1729)
+    families = [
+        lambda b: char2_D,
+        lambda b: lambda p: char2_D(p) + b * p.formal_derivative(),
+        lambda b: lambda p: b * p.formal_derivative(),
+        lambda b: lambda p: char2_D(p) + b * p,
+        lambda b: _char2_third,
+        lambda b: lambda p: char2_D(p) + b * p * p * p,
+        lambda b: lambda p: char2_D(p) + (b * p * p * p if p.degree > 2 else GF2Poly.zero()),
+    ]
+    for i in range(2 * len(families)):
+        D = families[i % len(families)](GF2Poly(rng.randrange(1, 16)))
+        max_degree = 3 if i < len(families) else rng.randint(1, 2)
+        yield D, max_degree
+
+
+def test_order_upper_check_over_gf2_agrees_with_char2_order_check():
+    seen = set()
+    for D, max_degree in _char2_corpus():
+        rep = char2_order_check(max_degree=max_degree, D=D)
+        if not (rep.additive_ok and D(GF2Poly.one()).is_zero):
+            continue
+        elems = list(GF2Poly.all_up_to_degree(max_degree))
+        second = order_upper_check(D, 2, elems)
+        assert second.ok == (rep.additive_ok and rep.defects2_vanish)
+        first = order_upper_check(D, 1, elems)
+        if rep.derivation_witness is None:
+            assert first.ok
+        else:
+            assert not first.ok and first.reason == "1-fold nested defect nonzero"
+            assert (*first.witness, first.value) == rep.derivation_witness
+        seen.add(("order <= 2", second.ok))
+        seen.add(("order <= 1", first.ok))
+    assert len(seen) == 4
+
+
 def test_char2_compose_identity_values():
     # with a = 1: k even gives 0, k odd gives x^(k-1)
     rep = char2_compose_check(GF2Poly.one())
@@ -198,6 +237,43 @@ def test_product_ring_component_step():
 def test_product_ring_unit_killed():
     assert pair_d1(PairPoly.unit()).is_zero
     assert pair_d2(PairPoly.unit()).is_zero
+
+
+def test_pair_poly_components_must_be_univariate():
+    with pytest.raises(ValueError, match="components must be univariate"):
+        PairPoly(MultiPoly.variable(2, 0), MultiPoly.const(1, 1))
+
+
+def _product_ring_rules_hold(d, samples):
+    """The sum and product rules of d on every ordered pair of samples."""
+    return all(
+        d(u + v) == d(u) + d(v) and d(u * v) == d(u) * v + d(v) * u
+        for u, v in product(samples, repeat=2)
+    )
+
+
+def test_order_upper_check_over_the_product_ring_is_the_rule_loop():
+    px = MultiPoly.variable(1, 0)
+    zero = MultiPoly.zero(1)
+    samples = [
+        PairPoly.unit(),
+        PairPoly(px, px**3),
+        PairPoly(px**2 + 1, px),
+        PairPoly(px**2, px**3),
+        PairPoly(px + 1, zero),
+        PairPoly(zero, px**2 - px),
+    ]
+    maps = [
+        (pair_d1, ""),
+        (pair_d2, ""),
+        (lambda p: p * p, "not additive"),
+        (lambda p: PairPoly(p.first.partial(0).partial(0), zero), "1-fold nested defect nonzero"),
+        (lambda p: pair_d2(p) + p, "does not annihilate 1"),
+    ]
+    for d, reason in maps:
+        got = order_upper_check(d, 1, samples)
+        assert got.ok == _product_ring_rules_hold(d, samples) == (not reason)
+        assert got.ok or got.reason == reason
 
 
 def test_product_ring_demo_report():

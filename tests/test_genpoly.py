@@ -137,6 +137,19 @@ def test_passing_degree_check_counts_tuple_point_pairs(n):
         assert res.ok and res.checked == math.comb(len(incs) + n, n + 1) * len(points)
 
 
+def test_degree_check_rejects_bad_bounds_and_data():
+    zero = RatFunc.zero(1)
+    for n, increments, points, message in (
+        (-2, [t], [t], "degree bound must be at least -1"),
+        (0, [], [t], "need at least one increment"),
+        (0, [t], [], "need at least one point"),
+        (0, [t, zero], [t], "increments must be nonzero"),
+        (0, [t], [t, zero], "points must be nonzero"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            gp_degree_check(lambda x: x, n, increments, points)
+
+
 def test_degree_check_level_minus_one_is_zero_test():
     zero_map = lambda x: RatFunc.zero(1)
     assert gp_degree_check(zero_map, -1, [], [t]).ok

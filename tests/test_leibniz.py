@@ -410,3 +410,10 @@ def test_general_operator_defect_laws():
 def test_map_table_rejects_duplicates():
     with pytest.raises(ValueError):
         MapTable.from_pairs([(t, t), (t, t + 1)], 1)
+
+
+def test_order_check_rejects_a_negative_bound_and_no_samples():
+    with pytest.raises(ValueError, match="order bound must be nonnegative"):
+        order_upper_check(lambda x: x, -1, [t])
+    with pytest.raises(ValueError, match="need at least one sample"):
+        order_upper_check(lambda x: x, 1, [])
