@@ -11,6 +11,7 @@ counterexample fixtures, all exposed through the ``derivcalc`` CLI.
 from .exactnum import (
     DimensionMismatchError,
     GF2Poly,
+    InexactDivisionError,
     MultiPoly,
     PoleError,
     RatFunc,
@@ -90,6 +91,7 @@ __all__ = [
     "GF2Poly",
     "GridValues",
     "IncompleteGridError",
+    "InexactDivisionError",
     "MapTable",
     "MultiPoly",
     "NotInO0Error",

@@ -43,7 +43,14 @@ from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
-from .exactnum import DimensionMismatchError, GF2Poly, RatFunc, add_terms, zero_index
+from .exactnum import (
+    DimensionMismatchError,
+    GF2Poly,
+    InexactDivisionError,
+    RatFunc,
+    add_terms,
+    zero_index,
+)
 from .deriv import Derivation, DiffOp, OpWord, compose, normalize
 from .genpoly import exponent_polynomial, gp_degree_check, over_identity
 from .leibniz import MapTable, NotInO0Error, nested_defect, order_exact
@@ -763,9 +770,11 @@ def _run(argv) -> int:
         return 2
     except Exception as exc:
         # each reader parses with the command's own k, so no input mixes
-        # variable counts: a DimensionMismatchError is a bug, not a usage error
+        # variable counts, and the engine asks for an exact division only
+        # where the quotient is exact: DimensionMismatchError and
+        # InexactDivisionError are bugs, not usage errors
         usage = isinstance(exc, (ValueError, ZeroDivisionError, OSError))
-        if usage and not isinstance(exc, DimensionMismatchError):
+        if usage and not isinstance(exc, (DimensionMismatchError, InexactDivisionError)):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -57,6 +57,10 @@ class DimensionMismatchError(ValueError):
     """Operands live over different numbers of variables."""
 
 
+class InexactDivisionError(ValueError):
+    """A polynomial division that must be exact left a remainder."""
+
+
 class PoleError(ZeroDivisionError):
     """The denominator vanishes at the evaluation point."""
 
@@ -483,7 +487,8 @@ class MultiPoly(PackedKeys, TermMap):
     # -- division ----------------------------------------------------------
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises ValueError when not divisible."""
+        """Exact polynomial division; raises InexactDivisionError (a
+        ValueError) when not divisible."""
         check_k(self.k, divisor.k)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -498,7 +503,7 @@ class MultiPoly(PackedKeys, TermMap):
             for mono, coef in self.terms.items():
                 qm = mono - dm
                 if qm & guard:
-                    raise ValueError("not exactly divisible")
+                    raise InexactDivisionError("not exactly divisible")
                 out[qm] = _coeff_div(coef, dc)
             return MultiPoly._raw(self.k, out)
         dm = max(divisor.terms)
@@ -509,7 +514,7 @@ class MultiPoly(PackedKeys, TermMap):
             mono = max(rem)
             qm = mono - dm
             if qm & guard:
-                raise ValueError("not exactly divisible")
+                raise InexactDivisionError("not exactly divisible")
             qc = _coeff_div(rem[mono], dc)
             quot[qm] = qc
             add_terms(rem, ((m + qm, -c * qc) for m, c in divisor.terms.items()))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import derivcalc
 from derivcalc import cli
-from derivcalc.exactnum import MultiPoly, RatFunc
+from derivcalc.exactnum import InexactDivisionError, MultiPoly, RatFunc
 from derivcalc.deriv import Derivation, DiffOp
 from derivcalc.cli import (
     ExprSyntaxError,
@@ -592,6 +592,18 @@ def test_cli_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "order", "--k", "1", "--op", "d[2]")
     assert (code, out) == (3, "")
     assert err == "internal error: DimensionMismatchError: mixed variable counts: 1 vs 2\n"
+
+
+def test_cli_inexact_division_is_an_internal_error(capsys, monkeypatch):
+    # every division the engine calls exact is one, so a remainder is a bug
+    # (exit 3), not a usage error (exit 2)
+    def inexact(self, divisor):
+        raise InexactDivisionError("not exactly divisible")
+
+    monkeypatch.setattr(MultiPoly, "exact_div", inexact)
+    code, out, err = run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", '{"t1":"t1^2"}')
+    assert (code, out) == (3, "")
+    assert err == "internal error: InexactDivisionError: not exactly divisible\n"
 
 
 @pytest.mark.skipif(

@@ -12,6 +12,7 @@ from derivcalc import exactnum
 from derivcalc.deriv import DiffOp
 from derivcalc.exactnum import (
     GF2Poly,
+    InexactDivisionError,
     MultiPoly,
     PoleError,
     RatFunc,
@@ -57,6 +58,15 @@ def test_normalize_idempotent_on_examples():
     r = RatFunc(t().scale(2), (t() * t()).scale(4))
     again = RatFunc(r.num, r.den)
     assert again == r
+
+
+def test_inexact_division_raises_its_own_value_error():
+    # the monomial branch and the long-division branch
+    for num, den in ((t() + 1, t() * t()), (t() * t() + 1, t() + 1)):
+        with pytest.raises(InexactDivisionError, match="not exactly divisible"):
+            num.exact_div(den)
+        assert issubclass(InexactDivisionError, ValueError)
+        assert not den.divides(num)
 
 
 def test_gcd_common_variable():

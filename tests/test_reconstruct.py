@@ -6,7 +6,9 @@ from random import Random
 
 import pytest
 
-from derivcalc.exactnum import RatFunc
+import derivcalc
+from derivcalc import exactnum
+from derivcalc.exactnum import RatFunc, grlex_key
 from derivcalc.deriv import Derivation, DiffOp
 from derivcalc.leibniz import MapTable
 from derivcalc.reconstruct import (
@@ -20,7 +22,12 @@ from derivcalc.reconstruct import (
     newton_coeffs,
     reconstruct_operator,
 )
-from derivcalc.sampling import random_diffop, random_multipoly, random_sparse_ratfunc
+from derivcalc.sampling import (
+    random_diffop,
+    random_multipoly,
+    random_sparse_poly,
+    random_sparse_ratfunc,
+)
 
 t = RatFunc.variable(1, 0)
 one1 = RatFunc.one(1)
@@ -224,6 +231,158 @@ def test_fit_reports_solution_dimension():
     res = fit_operator(table, 2, require_o0=True)
     assert res.ok and res.solution_dim == 1
     assert res.operator(t) == one1
+
+
+def test_fit_names_the_first_row_that_makes_the_table_inconsistent():
+    # one unknown c (n = 1, O0): row 0 says c = 1, row 1 agrees with it and
+    # row 2 says c = 2.  Rows 0..1 are consistent and rows 0..2 are not, so
+    # the row named is 2, although row 2's entry d(t) = 1 has the fewest terms
+    table = MapTable.from_pairs(
+        [(t**2 + t, 2 * t + 1), (t**3, 3 * t**2), (t, RatFunc.const(1, 2))], 1
+    )
+    assert fit_operator(table, 1).inconsistent_row == 2
+    # two rows that conflict only with each other: the later one is named
+    table = MapTable.from_pairs([(t**2 + t, 2 * t + 1), (t, RatFunc.const(1, 2))], 1)
+    assert fit_operator(table, 1).inconsistent_row == 1
+
+
+def _fit_reference(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
+    """The Gauss elimination over Q(t) that fraction-free fitting replaced:
+    every entry is a canonical RatFunc, so every step reduces by gcds.  The
+    pivot of a column is the remaining row of lowest table index with a
+    nonzero entry (the replaced loop took the entry with the fewest terms,
+    which names another row on some inconsistent tables); d^a(x) comes from
+    applying the operator d^a."""
+    k = table.k
+    indices = sorted(
+        (
+            alpha
+            for alpha in product(range(n + 1), repeat=k)
+            if sum(alpha) <= n and not (require_o0 and sum(alpha) == 0)
+        ),
+        key=grlex_key,
+    )
+    ncols = len(indices)
+    remaining = [
+        ([DiffOp(k, {alpha: 1})(x) for alpha in indices], y, rowidx)
+        for rowidx, (x, y) in enumerate(table)
+    ]
+    pivots = []
+    for col in range(ncols):
+        pivot = next((r for r in remaining if not r[0][col].is_zero), None)
+        if pivot is None:
+            continue
+        remaining = [r for r in remaining if r is not pivot]
+        prow, prhs, _ = pivot
+        inv = prow[col].reciprocal()
+        prow = [c * inv for c in prow]
+        prhs = prhs * inv
+        new_remaining = []
+        for crow, crhs, cidx in remaining:
+            factor = crow[col]
+            if not factor.is_zero:
+                crow = [a - factor * b for a, b in zip(crow, prow)]
+                crhs = crhs - factor * prhs
+            new_remaining.append((crow, crhs, cidx))
+        remaining = new_remaining
+        pivots.append((col, prow, prhs))
+    for crow, crhs, cidx in remaining:
+        if not crhs.is_zero:
+            return FitResult(None, inconsistent_row=cidx)
+    solution = [RatFunc.zero(k)] * ncols
+    for col, prow, prhs in reversed(pivots):
+        val = prhs
+        for c2 in range(col + 1, ncols):
+            if not prow[c2].is_zero:
+                val = val - prow[c2] * solution[c2]
+        solution[col] = val
+    op = DiffOp(k, dict(zip(indices, solution)))
+    return FitResult(op, solution_dim=ncols - len(pivots))
+
+
+def _table_element(rng: Random, k: int, rational: bool) -> RatFunc:
+    """A sparse polynomial, divided by t_j + c when `rational`."""
+    num = RatFunc.from_poly(random_sparse_poly(rng, k, max_degree=2))
+    if not rational:
+        return num
+    return num / (RatFunc.variable(k, rng.randrange(k)) + rng.choice((-2, -1, 1, 3)))
+
+
+_FIT_KINDS = ("consistent", "perturbed", "underdetermined")
+
+
+def _fit_corpus():
+    """Seeded (table, n, require_o0, kind) cases for k = 1..3 and n = 1..3:
+    consistent, perturbed and underdetermined tables, with and without the
+    identity column.  The elements are polynomials, and also rational where
+    k + n <= 4: past that the reference's gcds take seconds per table."""
+    rng = Random(1409)
+    for k, n, require_o0 in product((1, 2, 3), (1, 2, 3), (True, False)):
+        ncols = sum(1 for a in product(range(n + 1), repeat=k) if sum(a) <= n) - require_o0
+        for kind, rational in product(_FIT_KINDS, (False, True)):
+            if rational and k + n > 4:
+                continue
+            size = max(1, ncols // 2) if kind == "underdetermined" else min(ncols + 2, 8)
+            E = random_diffop(rng, k, n, in_o0=require_o0, den_style="monomial")
+            elements = []
+            while len(elements) < size:
+                x = _table_element(rng, k, rational)
+                if x not in elements:
+                    elements.append(x)
+            pairs = [(x, E(x)) for x in elements]
+            if kind == "perturbed":
+                i = rng.randrange(size)
+                pairs[i] = (pairs[i][0], pairs[i][1] + RatFunc.variable(k, rng.randrange(k)))
+            yield MapTable.from_pairs(pairs, k), n, require_o0, kind
+
+
+def test_fit_agrees_with_the_ratfunc_elimination():
+    kinds = {}
+    for table, n, require_o0, kind in _fit_corpus():
+        got = fit_operator(table, n, require_o0=require_o0)
+        assert got == _fit_reference(table, n, require_o0=require_o0), (table, n, require_o0)
+        kinds.setdefault(kind, set()).add(got.ok)
+    # the corpus reaches both verdicts, and every consistent table fits
+    assert kinds == dict(zip(_FIT_KINDS, ({True}, {False, True}, {True})))
+
+
+def test_fit_inconsistent_row_is_the_shortest_inconsistent_prefix():
+    for table, n, require_o0, _ in _fit_corpus():
+        i = fit_operator(table, n, require_o0=require_o0).inconsistent_row
+        if i is None:
+            continue
+        prefixes = (MapTable(table.entries[:m], table.k) for m in (i, i + 1))
+        before, at = (fit_operator(p, n, require_o0=require_o0) for p in prefixes)
+        assert before.ok and at.inconsistent_row == i
+
+
+def test_fit_takes_one_gcd_per_unknown(monkeypatch):
+    """Fraction-free elimination: a table of polynomials costs no gcd until
+    each unknown is built as N_c / det, one canonicalisation each."""
+    rng = Random(2027)
+    E = random_diffop(rng, 2, 2, in_o0=True, exact_degree=True, den_style="one")
+    elements = []
+    while len(elements) < 10:
+        x = RatFunc.from_poly(random_multipoly(rng, 2, max_degree=3, nonzero=True))
+        if x not in elements:
+            elements.append(x)
+    table = MapTable.tabulate(E, elements, 2)
+    assert all(x.den == 1 and y.den == 1 for x, y in table)
+    calls = []
+    original = exactnum.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    for module in vars(derivcalc).values():
+        if getattr(module, "poly_gcd", None) is original:
+            monkeypatch.setattr(module, "poly_gcd", counted)
+    res = fit_operator(table, 2, require_o0=True)
+    assert res.operator == E
+    # det is not constant here, so building the unknowns does take gcds
+    ncols = 5
+    assert 0 < len(calls) <= ncols
 
 
 # ---------------------------------------------------------------------------
