@@ -14,7 +14,8 @@ Representation choices:
   linear structure, equality, hashing and evaluation); ``MultiPoly`` and
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
   Q(t1..tk)) subclass it; ``sparse_product`` is the one product, the ``*``
-  of ``MultiPoly`` and ``ExpPoly``.  Other modules call these instead of
+  of ``MultiPoly`` and ``ExpPoly``, and ``shifted_sum`` adds polynomials
+  shifted by monomials in one term map.  Other modules call these instead of
   building tuples or accumulate loops themselves.
 * Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
   classes) store each monomial as one int: with k variables and fields of
@@ -237,6 +238,32 @@ def sparse_product(self, other):
             else:
                 del out[mono]
     return self._raw(self.k, out)
+
+
+def shifted_sum(k: int, items: Iterable) -> "MultiPoly":
+    """The MultiPoly sum of c * t^shift * p over (shift, c, p) items, with
+    shift an exponent tuple, c a rational and p a MultiPoly over k
+    variables, built in one term map: the numerator of a sum of quotients
+    p / t^a brought over one monomial denominator."""
+    out: dict = {}
+    for shift, c, p in items:
+        check_k(k, p.k)
+        if len(shift) != k or min(shift, default=0) < 0:
+            raise ValueError(f"bad shift {tuple(shift)} for k={k}")
+        if not p.terms:
+            continue
+        key = _pack(k, shift)
+        top = (max(p.terms) + key) >> k * _W
+        if top >= _LIMIT:
+            raise _degree_limit(top)
+        for m, cm in p.terms.items():
+            mono = m + key
+            s = out.get(mono, 0) + c * cm
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return MultiPoly._raw(k, out)
 
 
 class TermMap:
@@ -1188,7 +1215,8 @@ class GF2Poly:
         return self.bits == other.bits
 
     def __hash__(self):
-        return hash(("GF2Poly", self.bits))
+        # shared with the int self.bits, which never compares equal to it
+        return hash(self.bits)
 
     def __bool__(self):
         return self.bits != 0

@@ -13,15 +13,19 @@ coefficients in the field:
     E(t^i)/t^i = sum_a c_a * i^(falling a) * t^(-a),
 
 where i^(falling m) = i(i-1)...(i-m+1) = sum_e s(m, e) * i^e with s the
-signed Stirling numbers of the first kind.  ``exponent_polynomial`` expands
-this in closed form, c_a * t^(-a) * prod_j s(a_j, e_j) being the coefficient
-of i^e, into the monomial basis of the exponent variables; its total degree
-recovers the operator degree exactly.
+signed Stirling numbers of the first kind, integers (``stirling_row``).  So
+the coefficient of i^e is sum over a >= e of s(a, e) * c_a / t^a with
+s(a, e) = prod_j s(a_j, e_j).  ``exponent_polynomial`` builds each such
+coefficient once: the terms with one denominator q share one numerator
+over q * t^A, A the componentwise maximum of their indices, so each
+coefficient takes one canonical form per distinct denominator.  Its total
+degree recovers the operator degree exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Callable, Sequence
@@ -33,8 +37,8 @@ from .exactnum import (
     PackedKeys,
     RatFunc,
     RatFuncTerms,
-    add_terms,
     mono_str,
+    shifted_sum,
     sparse_product,
     unit_index,
     zero_index,
@@ -169,14 +173,15 @@ def gp_degree_check(
 # ---------------------------------------------------------------------------
 
 
-def falling_factorial_coeffs(m: int) -> list[Fraction]:
-    """Coefficients of x(x-1)...(x-m+1) in the monomial basis, low to high."""
-    coeffs = [Fraction(1)]
+@lru_cache(maxsize=64)
+def stirling_row(m: int) -> tuple[int, ...]:
+    """Signed Stirling numbers of the first kind s(m, 0..m): the integer
+    coefficients of i(i-1)...(i-m+1) in the monomial basis, low to high."""
+    row = [1]
     for j in range(m):
-        # multiply by (x - j)
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [s - j * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
-    return coeffs
+        # multiply by (i - j)
+        row = [a - j * b for a, b in zip([0, *row], [*row, 0])]
+    return tuple(row)
 
 
 class _OverIdentity:
@@ -206,25 +211,40 @@ def over_identity(E: DiffOp) -> SemigroupMap:
 def exponent_polynomial(E: DiffOp) -> ExpPoly:
     """The polynomial p with p(i1..ik) = E(t1^i1...tk^ik) / t1^i1...tk^ik.
 
-    Each canonical term c_a d^a contributes c_a * t^(-a) times the tensor
-    product of the coefficient lists of the falling factorials i_j^(falling
-    a_j), which is their product in the monomial basis.
+    The coefficient of i^e is the sum over the terms c_a d^a of E with
+    a >= e of s(a, e) * c_a / t^a, where s(a, e) = prod_j s(a_j, e_j) is an
+    integer (``stirling_row``).  The terms that feed i^e are grouped by the
+    denominator q of c_a; a group whose indices have componentwise maximum
+    A adds up to N / (q * t^A) with N = sum of s(a, e) * num(c_a) * t^(A-a),
+    which ``shifted_sum`` builds in one term map, so each group takes one
+    canonical form (one gcd, with a monomial when q = 1).  RatFunc addition
+    runs only between groups of different denominators.
     """
     k = E.k
-    out: dict = {}
+    # exponent monomial e -> denominator q -> [(a, s(a, e), num(c_a))]
+    groups: dict = {}
     for alpha, c in E.terms.items():
-        coef = c / MultiPoly.monomial(k, alpha)
-        factors = [
-            [(e, s) for e, s in enumerate(falling_factorial_coeffs(m)) if s]
-            for m in alpha
-        ]
-        add_terms(
-            out,
-            (
-                (tuple(e for e, _ in picks), coef * prod(s for _, s in picks))
-                for picks in product(*factors)
-            ),
-        )
+        rows = [[(e, s) for e, s in enumerate(stirling_row(m)) if s] for m in alpha]
+        for picks in product(*rows):
+            e = tuple(e for e, _ in picks)
+            by_den = groups.setdefault(e, {})
+            by_den.setdefault(c.den, []).append((alpha, prod(s for _, s in picks), c.num))
+    out = {}
+    for e, by_den in groups.items():
+        total = None
+        for den, items in by_den.items():
+            top = tuple(map(max, zip(*(a for a, _, _ in items))))
+            num = shifted_sum(
+                k,
+                (
+                    (tuple(x - y for x, y in zip(top, a)), s, p)
+                    for a, s, p in items
+                ),
+            )
+            part = RatFunc(num, den * MultiPoly.monomial(k, top))
+            total = part if total is None else total + part
+        if total:
+            out[e] = total
     return ExpPoly(k, out)
 
 

@@ -17,6 +17,7 @@ from derivcalc.exactnum import (
     PoleError,
     RatFunc,
     poly_gcd,
+    shifted_sum,
 )
 from derivcalc.genpoly import ExpPoly
 
@@ -412,6 +413,24 @@ def test_exponent_limit():
         t() ** LIMIT
     with pytest.raises(ValueError, match="exponent limit"):
         ExpPoly(1, {(LIMIT,): RatFunc.one(1)})
+    with pytest.raises(ValueError, match="exponent limit"):
+        shifted_sum(1, [((1,), 1, big)])
+
+
+def test_shifted_sum_is_the_sum_of_monomial_products():
+    x, y = t(2, 0), t(2, 1)
+    p, q = x * y + 2, (x - y) * Fraction(1, 3)
+    items = [((2, 0), 3, p), ((0, 1), -1, q), ((1, 1), 5, MultiPoly.zero(2)), ((0, 0), 2, q)]
+    want = sum(
+        (MultiPoly.monomial(2, shift, c) * f for shift, c, f in items), MultiPoly.zero(2)
+    )
+    assert shifted_sum(2, items) == want
+    # terms that cancel leave no zero entry behind
+    assert shifted_sum(2, [((0, 0), 1, p), ((0, 0), -1, p)]).terms == {}
+    assert shifted_sum(0, []) == MultiPoly.zero(0)
+    for shift in ((1,), (1, -1), (0, 0, 0)):
+        with pytest.raises(ValueError, match="bad shift"):
+            shifted_sum(2, [(shift, 1, p)])
 
 
 def test_no_module_imports_private_exactnum_names():
@@ -449,6 +468,26 @@ def test_gf2_basics():
     assert (x**3).degree == 3
     assert GF2Poly.zero().coefficients == ()
     assert (x**2 + GF2Poly.one()).coefficients == (1, 0, 1)
+
+
+def test_gf2_equal_polynomials_hash_equal():
+    x = GF2Poly.x()
+    for a, b in (
+        ((x + GF2Poly.one()) ** 2, x**2 + GF2Poly.one()),
+        (x * x * x, GF2Poly.monomial(3)),
+        (x + x, GF2Poly.zero()),
+    ):
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert len({GF2Poly(b) for b in range(8)} | {GF2Poly(5), GF2Poly(0)}) == 8
+
+
+def test_gf2_poly_and_its_bit_mask_stay_distinct_keys():
+    # the two share a hash, but never compare equal
+    table = {GF2Poly(5): "poly", 5: "int"}
+    assert len(table) == 2
+    assert table[GF2Poly(5)] == "poly" and table[5] == "int"
+    assert GF2Poly(5) != 5 and 5 != GF2Poly(5)
 
 
 def test_gf2_ring_laws_exhaustive_small():

@@ -1,12 +1,16 @@
 """Multiplicative differences, exponent polynomials, degree calculus."""
 
 import math
+from fractions import Fraction
 from itertools import product
+from math import prod
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import derivcalc
+from derivcalc import exactnum
 from derivcalc.exactnum import MultiPoly, RatFunc, add_terms
 from derivcalc.deriv import Derivation, DiffOp, OpWord, compose, normalize
 from derivcalc.genpoly import (
@@ -17,6 +21,7 @@ from derivcalc.genpoly import (
     expoly_degree,
     gp_degree_check,
     over_identity,
+    stirling_row,
 )
 from derivcalc.sampling import (
     random_derivation,
@@ -229,6 +234,99 @@ def test_composition_splits_into_image_and_product_terms():
             [d1.images[j] / RatFunc.variable(k, j) for j in range(k)]
         )
         assert exponent_polynomial(D) == image_term + p * linear
+
+
+def _falling_factorial_coeffs(m: int) -> list[Fraction]:
+    """Coefficients of x(x-1)...(x-m+1) in the monomial basis, low to high."""
+    coeffs = [Fraction(1)]
+    for j in range(m):
+        # multiply by (x - j)
+        shifted = [Fraction(0)] + coeffs
+        coeffs = [s - j * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
+    return coeffs
+
+
+def _expoly_reference(E: DiffOp) -> ExpPoly:
+    """The per-term expansion: one RatFunc product per (operator term,
+    Stirling pick), summed with RatFunc additions.
+
+    Each canonical term c_a d^a contributes c_a * t^(-a) times the tensor
+    product of the coefficient lists of the falling factorials i_j^(falling
+    a_j), which is their product in the monomial basis.
+    """
+    k = E.k
+    out: dict = {}
+    for alpha, c in E.terms.items():
+        coef = c / MultiPoly.monomial(k, alpha)
+        factors = [
+            [(e, s) for e, s in enumerate(_falling_factorial_coeffs(m)) if s]
+            for m in alpha
+        ]
+        add_terms(
+            out,
+            (
+                (tuple(e for e, _ in picks), coef * prod(s for _, s in picks))
+                for picks in product(*factors)
+            ),
+        )
+    return ExpPoly(k, out)
+
+
+def _expoly_corpus():
+    rng = Random(1515)
+    for k in (1, 2, 3):
+        for degree in range(5):
+            for den_style in ("one", "monomial", "poly", "mixed"):
+                for in_o0 in (True, False):
+                    yield random_diffop(rng, k, degree, in_o0=in_o0, den_style=den_style)
+    yield DiffOp.zero(2)
+    yield DiffOp(1, {(40,): 1})
+
+
+def test_exponent_polynomial_agrees_with_the_per_term_expansion():
+    for E in _expoly_corpus():
+        p, ref = exponent_polynomial(E), _expoly_reference(E)
+        assert p == ref and str(p) == str(ref), E
+
+
+def test_stirling_rows():
+    assert stirling_row(0) == (1,)
+    assert stirling_row(4) == (0, -6, 11, -6, 1)
+    for m in range(12):
+        row = stirling_row(m)
+        assert all(type(s) is int for s in row)
+        assert sum(map(abs, row)) == math.factorial(m)
+        assert row == tuple(_falling_factorial_coeffs(m))
+
+
+def test_exponent_polynomial_takes_one_gcd_per_coefficient(monkeypatch):
+    """Polynomial coefficients share the denominator 1, so each exponent
+    monomial is one group: one canonical form over t^A, no RatFunc
+    product and no RatFunc sum."""
+    rng = Random(1516)
+    E = normalize(OpWord.composition([random_derivation(rng, 2) for _ in range(4)]))
+    assert E.degree == 4 and all(c.den == 1 for c in E.terms.values())
+    calls = {"gcd": 0, "mul": 0, "add": 0}
+    original = exactnum.poly_gcd
+
+    def counted(a, b):
+        calls["gcd"] += 1
+        return original(a, b)
+
+    for module in vars(derivcalc).values():
+        if getattr(module, "poly_gcd", None) is original:
+            monkeypatch.setattr(module, "poly_gcd", counted)
+    for name, op in (("mul", RatFunc.__mul__), ("add", RatFunc.__add__)):
+
+        def tallied(self, other, op=op, name=name):
+            calls[name] += 1
+            return op(self, other)
+
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            monkeypatch.setattr(RatFunc, dunder, tallied)
+    p = exponent_polynomial(E)
+    assert expoly_degree(p) == 4
+    assert calls == {"gcd": len(p.terms), "mul": 0, "add": 0}
 
 
 # ---------------------------------------------------------------------------
