@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm, prod
-from operator import add
+from math import comb, factorial, perm, prod
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -35,11 +35,11 @@ from .exactnum import (
     MultiPoly,
     RatFunc,
     RatFuncTerms,
-    add_terms,
     as_ratfunc,
     check_k,
     grlex_key,
     mono_set,
+    ratfunc_product_sum,
     unit_index,
     zero_index,
 )
@@ -182,42 +182,41 @@ def _materialize_partial(cache: dict, alpha: Monomial) -> RatFunc:
 
 
 def apply_diffop(E: DiffOp, f: RatFunc) -> RatFunc:
-    """sum_a c_a * d^a f, computed termwise with shared derivative chains."""
+    """sum_a c_a * d^a f as one ``ratfunc_product_sum`` over the terms, with
+    the derivatives d^a f taken along shared chains."""
     check_k(E.k, f.k)
-    if not E.terms:
-        return RatFunc.zero(f.k)
     cache: dict[Monomial, RatFunc] = {zero_index(E.k): f}
-    total = RatFunc.zero(f.k)
-    for alpha, c in E.terms.items():
-        total = total + c * _materialize_partial(cache, alpha)
-    return total
-
-
-def _compose_partial(index: int, E: DiffOp) -> DiffOp:
-    """d_index composed with E: commute the derivative past each coefficient,
-    d_i (c d^b) = (d_i c) d^b + c d^(b + e_i)."""
-    out: dict[Monomial, RatFunc] = {}
-    for beta, c in E.terms.items():
-        up = mono_set(beta, index, beta[index] + 1)
-        add_terms(out, ((beta, c.partial(index)), (up, c)))
-    return DiffOp._raw(E.k, out)
+    return ratfunc_product_sum(
+        f.k, ((1, c, _materialize_partial(cache, alpha)) for alpha, c in E.terms.items())
+    )
 
 
 def compose(E1: DiffOp, E2: DiffOp) -> DiffOp:
     """Canonical form of the composed map E1 after E2.
 
+    By the Leibniz rule d^a (b d^beta) = sum over j <= a of
+    C(a, j) * (d^(a-j) b) * d^(beta+j), C(a, j) = prod_i C(a_i, j_i), so
+    ``ratfunc_product_sum`` builds each coefficient of the result in one
+    call, and the derivatives of each coefficient b of E2 share one chain.
+
     Over Q(t1..tk) the degree of a composition of nonzero operators is the
     sum of the degrees (top-order parts multiply in an integral domain).
     """
     check_k(E1.k, E2.k)
-    result = DiffOp.zero(E1.k)
-    for alpha, c in E1.terms.items():
-        acc = E2
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                acc = _compose_partial(i, acc)
-        result = result + acc.scale(c)
-    return result
+    k = E1.k
+    steps = [
+        (c, j, tuple(map(sub, alpha, j)), prod(map(comb, alpha, j)))
+        for alpha, c in E1.terms.items()
+        for j in product(*(range(e + 1) for e in alpha))
+    ]
+    items: dict[Monomial, list] = {}
+    for beta, b in E2.terms.items():
+        chain = {zero_index(k): b}
+        for c, j, down, binom in steps:
+            db = _materialize_partial(chain, down) if any(down) else b
+            items.setdefault(tuple(map(add, beta, j)), []).append((binom, c, db))
+    sums = ((gamma, ratfunc_product_sum(k, group)) for gamma, group in items.items())
+    return DiffOp._raw(k, {gamma: s for gamma, s in sums if s})
 
 
 def normalize(w: OpWord) -> DiffOp:
@@ -227,7 +226,7 @@ def normalize(w: OpWord) -> DiffOp:
         acc = DiffOp.identity(w.k)
         for d in reversed(word):
             acc = compose(d, acc)
-        result = result + acc.scale(coef)
+        result = result + (acc if coef == 1 else acc.scale(coef))
     return result
 
 
@@ -271,21 +270,20 @@ def leibniz_sum(
     for i, y in enumerate(ys):
         room = top - (m - 1 - i)  # each later factor takes at least 1
         tower = {zero_index(k): y}
-        taylor = {
-            b: _materialize_partial(tower, b) * Fraction(1, prod(map(factorial, b)))
+        taylor = [
+            (b, Fraction(1, prod(map(factorial, b))), _materialize_partial(tower, b))
             for b in steps
             if sum(b) <= room - i
-        }
+        ]
         out: dict = {}
         for s, w in weights.items():
-            for b, d in taylor.items():
+            for b, inv, d in taylor:
                 t = tuple(map(add, s, b))
                 if sum(t) > room:
                     break
-                if d and t in below:
-                    add_terms(out, ((t, w * d),))
-        weights = out
-    total = RatFunc.zero(k)
-    for s, w in weights.items():
-        total = total + apply_diffop(derived(E, s, identity), x) * w
-    return total
+                if t in below:
+                    out.setdefault(t, []).append((inv, w, d))
+        weights = {t: ratfunc_product_sum(k, group) for t, group in out.items()}
+    return ratfunc_product_sum(
+        k, ((1, apply_diffop(derived(E, s, identity), x), w) for s, w in weights.items() if w)
+    )

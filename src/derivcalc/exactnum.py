@@ -13,10 +13,12 @@ Representation choices:
   the one owner of the term-map class code (validation, immutability,
   linear structure, equality, hashing and evaluation); ``MultiPoly`` and
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
-  Q(t1..tk)) subclass it; ``sparse_product`` is the one product, the ``*``
-  of ``MultiPoly`` and ``ExpPoly``, and ``shifted_sum`` adds polynomials
-  shifted by monomials in one term map.  Other modules call these instead of
-  building tuples or accumulate loops themselves.
+  Q(t1..tk)) subclass it.  ``product_sum``, the one accumulate loop of
+  products, builds a sum of products in one term map; ``sparse_product``
+  (the ``*`` of ``MultiPoly`` and ``ExpPoly``) is its one-pair form,
+  ``shifted_sum`` its monomial form, and ``ratfunc_product_sum`` runs it on
+  RatFunc numerators grouped by denominator.  Other modules call these
+  instead of building tuples or accumulate loops themselves.
 * Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
   classes) store each monomial as one int: with k variables and fields of
   W = 32 bits, t1^e1...tk^ek is ``deg << k*W | e1 << (k-1)*W | ... | ek``,
@@ -210,60 +212,69 @@ def _power(base, n: int, one):
     return result
 
 
+def product_sum(k: int, items: Iterable):
+    """The sum of c * p * q over (c, p, q) items, c rational and p, q of one
+    ``PackedKeys`` class over k variables, as a value of that class built in
+    one term map (Johnson, SIGSAM Bulletin 1974).  A zero sum is deleted on
+    the spot and integral rationals are stored as int.  Items that share
+    their p (the same object) share one multiplication, c * q summed first."""
+    by_p: dict = {}
+    cls = MultiPoly
+    for c, p, q in items:
+        check_k(k, p.k)
+        check_k(k, q.k)
+        cls = type(p)
+        if c and p.terms and q.terms:
+            by_p.setdefault(id(p), (p.terms, []))[1].append((c, q.terms))
+    out: dict = {}
+    get = out.get
+    for a, scaled in by_p.values():
+        c, b = scaled[0]
+        if len(scaled) > 1:
+            c, b = 1, add_terms({}, ((m, cq * v) for cq, q in scaled for m, v in q.items()))
+        if len(a) > len(b):
+            a, b = b, a
+        for ma, ca in a.items():
+            if c != 1:
+                ca = c * ca
+            for mb, cb in b.items():
+                mono = ma + mb
+                s = get(mono, 0) + ca * cb
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    # exponents below the limit never carry: only the degree field can pass it
+    if out and max(out) >> k * _W >= _LIMIT:
+        raise _degree_limit(max(out) >> k * _W)
+    # a sum of ints is an int, so one sum tells whether a Fraction is present
+    if cls is MultiPoly and type(sum(out.values())) is not int:
+        out = {mono: _as_coeff(s) for mono, s in out.items()}
+    return cls._raw(k, out)
+
+
 def sparse_product(self, other):
     """``__mul__``/``__rmul__`` of a ``PackedKeys`` class: the sparse product
-    with a value of the same class, ``scale`` by one of the class's
-    ``_scalars``."""
+    with a value of the same class, the one-pair ``product_sum``, and
+    ``scale`` by one of the class's ``_scalars``."""
     if isinstance(other, self._scalars):
         return self.scale(other)
     if type(other) is not type(self):
         return NotImplemented
-    check_k(self.k, other.k)
-    a, b = self.terms, other.terms
-    if not a or not b:
-        return self.zero(self.k)
-    top = (max(a) + max(b)) >> self.k * _W
-    if top >= _LIMIT:
-        raise _degree_limit(top)
-    # iterate over the smaller operand outside
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = ma + mb
-            s = out.get(mono, 0) + ca * cb
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-    return self._raw(self.k, out)
+    return product_sum(self.k, ((1, self, other),))
 
 
 def shifted_sum(k: int, items: Iterable) -> "MultiPoly":
     """The MultiPoly sum of c * t^shift * p over (shift, c, p) items, with
     shift an exponent tuple, c a rational and p a MultiPoly over k
-    variables, built in one term map: the numerator of a sum of quotients
-    p / t^a brought over one monomial denominator."""
-    out: dict = {}
+    variables: the numerator of a sum of quotients p / t^a brought over one
+    monomial denominator."""
+    pairs = []
     for shift, c, p in items:
-        check_k(k, p.k)
         if len(shift) != k or min(shift, default=0) < 0:
             raise ValueError(f"bad shift {tuple(shift)} for k={k}")
-        if not p.terms:
-            continue
-        key = _pack(k, shift)
-        top = (max(p.terms) + key) >> k * _W
-        if top >= _LIMIT:
-            raise _degree_limit(top)
-        for m, cm in p.terms.items():
-            mono = m + key
-            s = out.get(mono, 0) + c * cm
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-    return MultiPoly._raw(k, out)
+        pairs.append((c, MultiPoly._raw(k, {_pack(k, shift): 1}), p))
+    return product_sum(k, pairs)
 
 
 class TermMap:
@@ -636,9 +647,7 @@ def _coeffs_wrt(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
 
 
 def _lead_wrt(p: MultiPoly, v: int) -> MultiPoly:
-    d = p.degree_in(v)
-    coeffs = _coeffs_wrt(p, v)
-    return coeffs[d]
+    return _coeffs_wrt(p, v)[p.degree_in(v)]
 
 
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -650,9 +659,8 @@ def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     n = a.degree_in(v) - db + 1
     u = _unit(a.k, v)
     while not r.is_zero and r.degree_in(v) >= db:
-        lcr = _lead_wrt(r, v)
-        x_e = (r.degree_in(v) - db) * u
-        r = r * lcb - lcr * MultiPoly._raw(a.k, {x_e: 1}) * b
+        shifted = _lead_wrt(r, v) * MultiPoly._raw(a.k, {(r.degree_in(v) - db) * u: 1})
+        r = product_sum(a.k, ((1, r, lcb), (-1, shifted, b)))
         n -= 1
     if n > 0:
         r = r * lcb**n
@@ -669,12 +677,7 @@ def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
 
 
 def _poly_height(p: MultiPoly) -> int:
-    h = 0
-    for c in p.terms.values():
-        a = abs(c if type(c) is int else c.numerator)
-        if a > h:
-            h = a
-    return h
+    return max(abs(c.numerator) for c in p.terms.values())
 
 
 def _eval_var(p: MultiPoly, v: int, xi: int) -> MultiPoly:
@@ -714,10 +717,7 @@ def _interpolate_var(g: MultiPoly, v: int, xi: int) -> MultiPoly:
 
 
 def _int_content(p: MultiPoly) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, abs(c if type(c) is int else c.numerator))
-    return g
+    return math.gcd(*(c.numerator for c in p.terms.values()))
 
 
 def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
@@ -911,37 +911,21 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            s = self.num + other.num
-            if self.den.is_constant:
-                return RatFunc._raw(s, self.den)
-            return RatFunc(s, self.den)
-        if self.den.is_constant:
-            # gcd(n1*d2 + n2, d2) = gcd(n2, d2) = 1, so the sum is canonical
-            return RatFunc._raw(self.num * other.den + other.num, other.den)
-        if other.den.is_constant:
-            return RatFunc._raw(other.num * self.den + self.num, self.den)
-        # reduce via the denominator gcd: with g = gcd(d1, d2) and
-        # t = n1*(d2/g) + n2*(d1/g), the only factors left to cancel out of
-        # t / (d1*(d2/g)) divide g, so one small gcd finishes the job
-        g = poly_gcd(self.den, other.den)
-        if g.is_constant:
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero:
-                return RatFunc.zero(self.k)
-            return RatFunc._raw(num, self.den * other.den)
-        d2r = other.den.exact_div(g)
-        t = self.num * d2r + other.num * self.den.exact_div(g)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.terms == d2.terms:
+            return RatFunc._raw(n1 + n2, d1) if d1.is_constant else RatFunc(n1 + n2, d1)
+        # with g = gcd(d1, d2) and t = n1*(d2/g) + n2*(d1/g), the only factors
+        # left to cancel out of t / (d1*(d2/g)) divide g, so one small gcd
+        # finishes the job; when d1 or d2 is 1, so is g
+        g = d1 if d1.is_constant else d2 if d2.is_constant else poly_gcd(d1, d2)
+        r1, r2 = (d1, d2) if g.is_constant else (d1.exact_div(g), d2.exact_div(g))
+        t = product_sum(self.k, ((1, n1, r2), (1, n2, r1)))
         if t.is_zero:
             return RatFunc.zero(self.k)
-        g2 = poly_gcd(t, g)
-        if g2.is_constant:
-            num = t
-            den = self.den * d2r
-        else:
-            num = t.exact_div(g2)
-            den = self.den.exact_div(g2) * d2r
-        return RatFunc._raw(*_monic(num, den))
+        g2 = g if g.is_constant else poly_gcd(t, g)
+        if not g2.is_constant:
+            t, d1 = t.exact_div(g2), d1.exact_div(g2)
+        return RatFunc._raw(*_monic(t, d1 * r2))
 
     __radd__ = __add__
 
@@ -1023,7 +1007,7 @@ class RatFunc:
             return RatFunc(dnum, self.den)
         g = poly_gcd(self.den, dden)
         dg = self.den.exact_div(g)
-        num = dnum * dg - self.num * dden.exact_div(g)
+        num = product_sum(self.k, ((1, dnum, dg), (-1, self.num, dden.exact_div(g))))
         return RatFunc(num, self.den * dg)
 
     def __call__(self, point: Sequence) -> Fraction:
@@ -1082,6 +1066,24 @@ def as_ratfunc(k: int, value) -> RatFunc:
         check_k(k, value.k)
         return RatFunc.from_poly(value)
     return RatFunc.const(k, value)
+
+
+def ratfunc_product_sum(k: int, items: Iterable) -> RatFunc:
+    """The RatFunc sum of c * f * g over (c, f, g) items, c rational and f, g
+    RatFunc over k variables.  Products whose denominators pair alike share
+    one ``product_sum`` numerator: over 1 and 1 it is the sum itself, with
+    no gcd, and over (d1, d2) it takes one canonical form over d1 * d2.
+    RatFunc addition runs only between such groups."""
+    groups: dict = {}
+    for c, f, g in items:
+        if f.num.terms and g.num.terms:
+            groups.setdefault((f.den, g.den), []).append((c, f.num, g.num))
+    total = None
+    for (d1, d2), group in groups.items():
+        num = product_sum(k, group)
+        part = RatFunc._raw(num, d1) if d1.is_constant and d2.is_constant else RatFunc(num, d1 * d2)
+        total = part if total is None else total + part
+    return RatFunc.zero(k) if total is None else total
 
 
 class RatFuncTerms(TermMap):

@@ -6,7 +6,9 @@ from random import Random
 
 import pytest
 
-from derivcalc.exactnum import DimensionMismatchError, MultiPoly, RatFunc
+import derivcalc
+from derivcalc import exactnum
+from derivcalc.exactnum import DimensionMismatchError, MultiPoly, RatFunc, add_terms
 from derivcalc.deriv import (
     Derivation,
     DiffOp,
@@ -276,3 +278,129 @@ def test_dimension_mismatch_rejected():
         apply_diffop(E1, RatFunc.variable(2, 0))
     with pytest.raises(DimensionMismatchError):
         Derivation.coordinate(2, 0)(t)
+
+
+# ---------------------------------------------------------------------------
+# product sums against the termwise routes they replaced
+# ---------------------------------------------------------------------------
+
+
+def _compose_reference(E1: DiffOp, E2: DiffOp) -> DiffOp:
+    """E1 after E2, one partial derivative at a time: d_i (c d^b) =
+    (d_i c) d^b + c d^(b + e_i), then one RatFunc product per term of
+    d^a E2 for each coefficient of E1 and one operator sum per term."""
+    result = DiffOp.zero(E1.k)
+    for alpha, c in E1.terms.items():
+        acc = E2
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                out: dict = {}
+                for beta, b in acc.terms.items():
+                    up = tuple(x + (v == i) for v, x in enumerate(beta))
+                    add_terms(out, ((beta, b.partial(i)), (up, b)))
+                acc = DiffOp(E1.k, out)
+        result = result + acc.scale(c)
+    return result
+
+
+def _apply_reference(E: DiffOp, f: RatFunc) -> RatFunc:
+    """sum_a c_a * d^a f, one RatFunc product and one RatFunc sum per term."""
+    total = RatFunc.zero(f.k)
+    for alpha, c in E.terms.items():
+        g = f
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                g = g.partial(i)
+        total = total + c * g
+    return total
+
+
+def _normalize_reference(w: OpWord) -> DiffOp:
+    result = DiffOp.zero(w.k)
+    for coef, word in w.words:
+        acc = DiffOp.identity(w.k)
+        for d in reversed(word):
+            acc = _compose_reference(d, acc)
+        result = result + acc.scale(coef)
+    return result
+
+
+def _operator_corpus():
+    """(E1, E2, word) cases over k = 1..3 and every den_style: operators of
+    degree 0..3 with and without an identity part (composed up to degree 3),
+    Derivation operands on either side, and the zero operator."""
+    rng = Random(1616)
+    for k in (1, 2, 3):
+        for den_style in ("one", "monomial", "poly", "mixed"):
+
+            def derivation():
+                return Derivation(
+                    [random_ratfunc(rng, k, max_degree=1, den_style=den_style) for _ in range(k)]
+                )
+
+            # over k = 3 sparser operators and shorter words keep the
+            # quotient-rule derivatives of the reference routes to seconds
+            fill = 0.6 if k < 3 else 0.3
+            for degree in range(4):
+                for in_o0 in (True, False):
+                    E1 = random_diffop(rng, k, degree, in_o0, den_style=den_style, fill=fill)
+                    E2 = random_diffop(rng, k, 3 - degree, not in_o0, den_style=den_style, fill=fill)
+                    word = tuple(derivation() for _ in range(min(degree, 5 - k)))
+                    yield E1, E2, word
+            E = random_diffop(rng, k, 2, in_o0=False, den_style=den_style)
+            yield derivation(), E, (derivation(),)
+            yield E, derivation(), (derivation(), derivation())
+            yield DiffOp.zero(k), E, ()
+            yield E, DiffOp.zero(k), (derivation(),)
+
+
+def test_compose_apply_and_normalize_match_the_termwise_routes():
+    rng = Random(1617)
+    cases = 0
+    for E1, E2, word in _operator_corpus():
+        k = E1.k
+        got, want = compose(E1, E2), _compose_reference(E1, E2)
+        assert got == want and str(got) == str(want), (E1, E2)
+        f = random_ratfunc(rng, k, den_style="mixed")
+        for E in (E1, E2):
+            got, want = apply_diffop(E, f), _apply_reference(E, f)
+            assert got == want and str(got) == str(want), (E, f)
+        coef = random_ratfunc(rng, k, max_degree=1, den_style="mixed") or 1
+        w = OpWord(k, [(1, word), (coef, word[1:])])
+        got, want = normalize(w), _normalize_reference(w)
+        assert got == want and str(got) == str(want), w
+        cases += 1
+    assert cases >= 120
+
+
+def test_compose_takes_one_product_sum_per_coefficient(monkeypatch):
+    """Polynomial coefficients share the denominator 1, so each coefficient
+    of the composition is one product_sum: no RatFunc product or sum and no
+    gcd."""
+    rng = Random(1618)
+    E1 = random_diffop(rng, 2, 2, in_o0=False, den_style="one")
+    E2 = normalize(OpWord.composition([random_derivation(rng, 2) for _ in range(3)]))
+    calls = {"gcd": 0, "mul": 0, "add": 0, "product_sum": 0}
+    originals = {"gcd": exactnum.poly_gcd, "product_sum": exactnum.product_sum}
+
+    for name, original in originals.items():
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in vars(derivcalc).values():
+            for attr in ("poly_gcd", "product_sum"):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for name, op in (("mul", RatFunc.__mul__), ("add", RatFunc.__add__)):
+
+        def tallied(self, other, op=op, name=name):
+            calls[name] += 1
+            return op(self, other)
+
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            monkeypatch.setattr(RatFunc, dunder, tallied)
+    C = compose(E1, E2)
+    assert C.degree == E1.degree + E2.degree == 5
+    assert calls == {"gcd": 0, "mul": 0, "add": 0, "product_sum": len(C.terms)}

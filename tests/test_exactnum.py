@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,12 @@ from derivcalc.exactnum import (
     PoleError,
     RatFunc,
     poly_gcd,
+    product_sum,
+    ratfunc_product_sum,
     shifted_sum,
 )
 from derivcalc.genpoly import ExpPoly
+from derivcalc.sampling import random_ratfunc
 
 
 def t(k=1, i=0):
@@ -431,6 +435,75 @@ def test_shifted_sum_is_the_sum_of_monomial_products():
     for shift in ((1,), (1, -1), (0, 0, 0)):
         with pytest.raises(ValueError, match="bad shift"):
             shifted_sum(2, [(shift, 1, p)])
+
+
+def test_product_sum_is_the_sum_of_products():
+    # items that share their p (the same object) share one multiplication;
+    # the tuple-key reference multiplies every pair on its own
+    rng = random.Random(1620)
+    polys = [
+        {
+            tuple(rng.randint(0, 3) for _ in range(2)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 4))
+        }
+        for _ in range(6)
+    ]
+    values = [MultiPoly(2, p) for p in polys]
+    for _ in range(40):
+        picks = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 5))]
+        items = [(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), values[i], values[j]) for i, j in picks]
+        want: dict = {}
+        for (c, _, _), (i, j) in zip(items, picks):
+            for m, v in _ref_mul(polys[i], polys[j]).items():
+                want[m] = want.get(m, 0) + c * v
+        got = product_sum(2, items)
+        _check_against_ref(got, {m: v for m, v in want.items() if v})
+        assert all(type(v) is int or v.denominator > 1 for v in got.terms.values())
+    # a cancelling pair leaves no zero entry, and a mixed pair is refused
+    p = values[1]
+    assert product_sum(2, [(1, p, p), (-1, p, p)]).terms == {}
+    with pytest.raises(exactnum.DimensionMismatchError):
+        product_sum(2, [(1, p, t(1))])
+
+
+def test_products_store_integral_coefficients_as_int():
+    # (t/2) * (t + 2) = t^2/2 + t: the coefficient of t is 1/2 * 2
+    x = t()
+    for got, lead in (
+        (x.scale(Fraction(1, 2)) * (x + 2), Fraction(1, 2)),
+        (shifted_sum(1, [((1,), Fraction(1, 2), x + 2)]), Fraction(1, 2)),
+        (product_sum(1, [(Fraction(2, 3), x, x + Fraction(3, 2))]), Fraction(2, 3)),
+    ):
+        assert got.sorted_terms() == [((2,), lead), ((1,), 1)]
+        assert type(got.sorted_terms()[1][1]) is int
+
+
+def test_expoly_product_runs_through_the_kernel_with_ratfunc_coefficients():
+    x = RatFunc.variable(1, 0)
+    p = ExpPoly(1, {(0,): x, (1,): 1 / x})
+    q = ExpPoly(1, {(1,): x, (2,): RatFunc.one(1)})
+    assert p * q == ExpPoly(1, {(1,): x * x, (2,): x + 1, (3,): 1 / x})
+    assert str(p * q) == str(ExpPoly(1, {(1,): x * x, (2,): x + 1, (3,): 1 / x}))
+    assert (p * ExpPoly.zero(1)).is_zero and type(p * q) is ExpPoly
+
+
+def test_ratfunc_product_sum_matches_ratfunc_arithmetic():
+    # denominators 1, monomial and polynomial, repeated f objects and
+    # repeated denominator pairs, against one RatFunc product and sum per item
+    rng = random.Random(1621)
+    for k in (1, 2):
+        pool = [random_ratfunc(rng, k, max_degree=2, den_style=s) for s in ("one", "monomial", "poly") * 2]
+        pool.append(RatFunc.zero(k))
+        for _ in range(15):
+            items = [
+                (Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice(pool), rng.choice(pool))
+                for _ in range(rng.randint(0, 6))
+            ]
+            want = RatFunc.zero(k)
+            for c, f, g in items:
+                want = want + f * g * c
+            got = ratfunc_product_sum(k, items)
+            assert got == want and str(got) == str(want)
 
 
 def test_no_module_imports_private_exactnum_names():
