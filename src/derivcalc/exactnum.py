@@ -15,9 +15,9 @@ Representation choices:
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
   Q(t1..tk)) subclass it.  ``product_sum``, the one accumulate loop of
   products, builds a sum of products in one term map; ``sparse_product``
-  (the ``*`` of ``MultiPoly`` and ``ExpPoly``) is its one-pair form,
-  ``shifted_sum`` its monomial form, and ``ratfunc_product_sum`` runs it on
-  RatFunc numerators grouped by denominator.  Other modules call these
+  (the ``*`` of ``MultiPoly`` and ``ExpPoly``) is its one-pair form, and
+  ``ratfunc_product_sum`` runs it on RatFunc numerators grouped by
+  denominator.  Other modules call these
   instead of building tuples or accumulate loops themselves.
 * Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
   classes) store each monomial as one int: with k variables and fields of
@@ -217,7 +217,8 @@ def product_sum(k: int, items: Iterable):
     ``PackedKeys`` class over k variables, as a value of that class built in
     one term map (Johnson, SIGSAM Bulletin 1974).  A zero sum is deleted on
     the spot and integral rationals are stored as int.  Items that share
-    their p (the same object) share one multiplication, c * q summed first."""
+    their p (the same object) share one multiplication, c * q summed first;
+    each group keeps its p, so no id is reused while the items run."""
     by_p: dict = {}
     cls = MultiPoly
     for c, p, q in items:
@@ -225,10 +226,11 @@ def product_sum(k: int, items: Iterable):
         check_k(k, q.k)
         cls = type(p)
         if c and p.terms and q.terms:
-            by_p.setdefault(id(p), (p.terms, []))[1].append((c, q.terms))
+            by_p.setdefault(id(p), (p, []))[1].append((c, q.terms))
     out: dict = {}
     get = out.get
-    for a, scaled in by_p.values():
+    for p, scaled in by_p.values():
+        a = p.terms
         c, b = scaled[0]
         if len(scaled) > 1:
             c, b = 1, add_terms({}, ((m, cq * v) for cq, q in scaled for m, v in q.items()))
@@ -262,19 +264,6 @@ def sparse_product(self, other):
     if type(other) is not type(self):
         return NotImplemented
     return product_sum(self.k, ((1, self, other),))
-
-
-def shifted_sum(k: int, items: Iterable) -> "MultiPoly":
-    """The MultiPoly sum of c * t^shift * p over (shift, c, p) items, with
-    shift an exponent tuple, c a rational and p a MultiPoly over k
-    variables: the numerator of a sum of quotients p / t^a brought over one
-    monomial denominator."""
-    pairs = []
-    for shift, c, p in items:
-        if len(shift) != k or min(shift, default=0) < 0:
-            raise ValueError(f"bad shift {tuple(shift)} for k={k}")
-        pairs.append((c, MultiPoly._raw(k, {_pack(k, shift): 1}), p))
-    return product_sum(k, pairs)
 
 
 class TermMap:

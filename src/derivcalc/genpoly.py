@@ -38,13 +38,13 @@ from .exactnum import (
     RatFunc,
     RatFuncTerms,
     mono_str,
-    shifted_sum,
+    product_sum,
     sparse_product,
     unit_index,
     zero_index,
 )
 from .deriv import DiffOp, leibniz_sum
-from .leibniz import CheckResult, _Memo
+from .leibniz import CheckResult, _Memo, _scan
 
 # A map defined on nonzero field elements, e.g. x -> E(x)/x for an operator.
 SemigroupMap = Callable[[RatFunc], RatFunc]
@@ -153,18 +153,11 @@ def gp_degree_check(
         def difference(gs, x):
             return memo.nest(_difference_step, gs, x)
 
-    checked = 0
-    for picks in combinations_with_replacement(range(len(increments)), n + 1):
-        gs = tuple(increments[i] for i in picks)
-        for x in points:
-            checked += 1
-            v = difference(gs, x)
-            if not v.is_zero:
-                return CheckResult(
-                    False, f"{n + 1}-fold difference nonzero", (gs, x), v, checked
-                )
-    return CheckResult(
-        True, f"all {n + 1}-fold differences vanish on given data", checked=checked
+    return _scan(
+        ((gs, x) for gs in combinations_with_replacement(increments, n + 1) for x in points),
+        lambda case: difference(*case),
+        f"{n + 1}-fold difference nonzero",
+        f"all {n + 1}-fold differences vanish on given data",
     )
 
 
@@ -215,8 +208,8 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
     a >= e of s(a, e) * c_a / t^a, where s(a, e) = prod_j s(a_j, e_j) is an
     integer (``stirling_row``).  The terms that feed i^e are grouped by the
     denominator q of c_a; a group whose indices have componentwise maximum
-    A adds up to N / (q * t^A) with N = sum of s(a, e) * num(c_a) * t^(A-a),
-    which ``shifted_sum`` builds in one term map, so each group takes one
+    A adds up to N / (q * t^A) with N = sum of s(a, e) * t^(A-a) * num(c_a),
+    which ``product_sum`` builds in one term map, so each group takes one
     canonical form (one gcd, with a monomial when q = 1).  RatFunc addition
     runs only between groups of different denominators.
     """
@@ -234,10 +227,10 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
         total = None
         for den, items in by_den.items():
             top = tuple(map(max, zip(*(a for a, _, _ in items))))
-            num = shifted_sum(
+            num = product_sum(
                 k,
                 (
-                    (tuple(x - y for x, y in zip(top, a)), s, p)
+                    (s, MultiPoly.monomial(k, tuple(x - y for x, y in zip(top, a))), p)
                     for a, s, p in items
                 ),
             )

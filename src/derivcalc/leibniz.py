@@ -32,22 +32,25 @@ operators.  The black-box route uses only +, -, * and ** 0 of its
 arguments, so it runs over any commutative ring with a unit: the fixtures
 check maps on GF(2)[x] and on Q[x] x Q[x] with it, where Theorem 2 fails.
 
-The nested defect at Z = (x, y1..ym) is symmetric in all m+1 arguments for
-any map on a commutative ring, additive or not: unrolled, it is the sum over
-nonempty S of Z of (-1)^|Z\\S| * prod(Z\\S) * D(prod S).  The additivity
-defect D(x+y) - D(x) - D(y) is symmetric too.  So the sampled checks visit
-multisets of sample positions, not ordered tuples, and their witnesses are
-those of the ordered enumeration: the first failing ordered tuple in
-``product`` order is sorted by position (its sorted permutation has the
-same value and comes no later), so it is also the first failing multiset.
+The sampled checks are laws, each written once on one first-failure scan
+(``_scan``): additivity over sample pairs and vanishing m-fold nested
+defects over (m+1)-multisets; ``genpoly.gp_degree_check`` runs the scan
+too.  Multisets suffice: the nested defect at Z = (x, y1..ym) is symmetric
+in all m+1 arguments for any map on a commutative ring, additive or not
+(unrolled, it is the sum over nonempty S of Z of
+(-1)^|Z\\S| * prod(Z\\S) * D(prod S)), and so is D(x+y) - D(x) - D(y).
+The witnesses are those of the ordered enumeration: the first failing
+ordered tuple in ``product`` order is sorted by position (its sorted
+permutation has the same value and comes no later), so it is also the
+first failing multiset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import RatFunc, grlex_key, mono_set, zero_index
 from .deriv import DiffOp, leibniz_sum
@@ -179,6 +182,36 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     return memo.nest(defect, tuple(ys), x)
 
 
+def _scan(cases: Iterable, value: Callable, failed: str, passed: str = "") -> CheckResult:
+    """The first case, in order, whose ``value(case)`` is neither None nor
+    zero, as a failed result with that case as witness; else a passed one.
+    ``checked`` counts the cases evaluated."""
+    checked = 0
+    for checked, case in enumerate(cases, 1):
+        v = value(case)
+        if v is not None and not v.is_zero:
+            return CheckResult(False, failed, case, v, checked)
+    return CheckResult(True, passed, checked=checked)
+
+
+def _additive_law(f: PointMap, samples: Sequence) -> CheckResult:
+    """f(x + y) = f(x) + f(y) on sample pairs; the value f(x + y) - f(x) -
+    f(y) is built only for a failing pair."""
+
+    def excess(pair):
+        lhs, rhs = f(pair[0] + pair[1]), f(pair[0]) + f(pair[1])
+        return None if lhs == rhs else lhs - rhs
+
+    return _scan(combinations_with_replacement(samples, 2), excess, "not additive")
+
+
+def _defect_law(f: PointMap, m: int, samples: Sequence, passed: str = "") -> CheckResult:
+    """Every m-fold nested defect of f vanishes on (m+1)-multisets of samples."""
+    cases = combinations_with_replacement(samples, m + 1)
+    failed = f"{m}-fold nested defect nonzero"
+    return _scan(cases, lambda z: nested_defect(f, z[0], z[1:]), failed, passed)
+
+
 def order_upper_check(
     D: PointMap, n: int, samples: Sequence[RatFunc]
 ) -> CheckResult:
@@ -197,7 +230,8 @@ def order_upper_check(
     Both defects are symmetric, so pairs and (n+1)-tuples are multisets of
     sample positions, with the witness of the ordered enumeration (see the
     module docstring).  ``checked`` counts the n-fold defect tuples
-    evaluated: C(s + n, n + 1) for s samples when the check passes.
+    evaluated: C(s + n, n + 1) for s samples when the check passes, and 0
+    when an earlier law fails.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")
@@ -207,22 +241,14 @@ def order_upper_check(
         f = D
     else:
         f = _Memo(D)
-        for x, y in combinations_with_replacement(samples, 2):
-            lhs = f(x + y)
-            rhs = f(x) + f(y)
-            if lhs != rhs:
-                return CheckResult(False, "not additive", (x, y), lhs - rhs)
+        additive = _additive_law(f, samples)
+        if not additive:
+            return replace(additive, checked=0)
     one = samples[0] ** 0
     at_one = f(one)
     if not at_one.is_zero:
         return CheckResult(False, "does not annihilate 1", (one,), at_one)
-    checked = 0
-    for tup in combinations_with_replacement(samples, n + 1):
-        checked += 1
-        v = nested_defect(f, tup[0], tup[1:])
-        if not v.is_zero:
-            return CheckResult(False, f"{n}-fold nested defect nonzero", tup, v, checked)
-    return CheckResult(True, f"consistent with order <= {n} on given data", checked=checked)
+    return _defect_law(f, n, samples, f"consistent with order <= {n} on given data")
 
 
 def order_exact(E: DiffOp) -> int:

@@ -122,34 +122,11 @@ def _char2_third(p):
     return out
 
 
-def test_char2_order_check_multisets_match_ordered_enumeration():
-    # a seeded corpus of GF(2) maps: second order (with and without a
-    # derivation added), derivations (no witness), maps with D(1) != 0,
-    # order-bound violations and non-additive maps, some of them additive
-    # on low degrees only
-    rng = Random(1729)
-    families = [
-        lambda b: char2_D,
-        lambda b: lambda p: char2_D(p) + b * p.formal_derivative(),
-        lambda b: lambda p: b * p.formal_derivative(),
-        lambda b: lambda p: char2_D(p) + b * p,
-        lambda b: _char2_third,
-        lambda b: lambda p: char2_D(p) + b * p * p * p,
-        lambda b: lambda p: char2_D(p) + (b * p * p * p if p.degree > 2 else GF2Poly.zero()),
-    ]
-    seen = set()
-    for i in range(2 * len(families)):
-        D = families[i % len(families)](GF2Poly(rng.randrange(1, 16)))
-        max_degree = 3 if i < len(families) else rng.randint(1, 2)
-        rep = char2_order_check(max_degree=max_degree, D=D)
-        assert rep == _char2_order_check_ordered(max_degree, D)
-        seen.add((rep.additive_ok, rep.defects2_vanish, rep.derivation_witness is None))
-    assert len(seen) >= 4
-
-
 def _char2_corpus():
-    """(D, max_degree) for the maps of the corpus above, drawn with the
-    same seed in the same order."""
+    """(D, max_degree) for a seeded corpus of GF(2) maps: second order (with
+    and without a derivation added), derivations (no witness), maps with
+    D(1) != 0, order-bound violations and non-additive maps, some of them
+    additive on low degrees only."""
     rng = Random(1729)
     families = [
         lambda b: char2_D,
@@ -164,6 +141,15 @@ def _char2_corpus():
         D = families[i % len(families)](GF2Poly(rng.randrange(1, 16)))
         max_degree = 3 if i < len(families) else rng.randint(1, 2)
         yield D, max_degree
+
+
+def test_char2_order_check_multisets_match_ordered_enumeration():
+    seen = set()
+    for D, max_degree in _char2_corpus():
+        rep = char2_order_check(max_degree=max_degree, D=D)
+        assert rep == _char2_order_check_ordered(max_degree, D)
+        seen.add((rep.additive_ok, rep.defects2_vanish, rep.derivation_witness is None))
+    assert len(seen) >= 4
 
 
 def test_order_upper_check_over_gf2_agrees_with_char2_order_check():

@@ -206,12 +206,14 @@ def test_order_zero_check_fails_on_the_0_fold_defect():
 def test_order_check_rejects_non_additive_map():
     res = order_upper_check(lambda f: f * f, 1, [t, t + 1])
     assert not res.ok and res.reason == "not additive"
+    assert res.checked == 0  # ``checked`` counts n-fold tuples, not pairs
 
 
 def test_order_check_rejects_map_not_killing_one():
     E = DiffOp.identity(1, 3) + D2
     res = order_upper_check(E, 2, samples1())
     assert not res.ok and "annihilate" in res.reason
+    assert res.checked == 0
 
 
 @pytest.mark.parametrize(
