@@ -17,8 +17,8 @@ Representation choices:
   products, builds a sum of products in one term map; ``sparse_product``
   (the ``*`` of ``MultiPoly`` and ``ExpPoly``) is its one-pair form, and
   ``ratfunc_product_sum`` runs it on RatFunc numerators grouped by
-  denominator.  Other modules call these
-  instead of building tuples or accumulate loops themselves.
+  denominator (``RatFunc *`` is its one-item form).  Other modules call
+  these instead of building tuples or accumulate loops themselves.
 * Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
   classes) store each monomial as one int: with k variables and fields of
   W = 32 bits, t1^e1...tk^ek is ``deg << k*W | e1 << (k-1)*W | ... | ek``,
@@ -216,24 +216,17 @@ def product_sum(k: int, items: Iterable):
     """The sum of c * p * q over (c, p, q) items, c rational and p, q of one
     ``PackedKeys`` class over k variables, as a value of that class built in
     one term map (Johnson, SIGSAM Bulletin 1974).  A zero sum is deleted on
-    the spot and integral rationals are stored as int.  Items that share
-    their p (the same object) share one multiplication, c * q summed first;
-    each group keeps its p, so no id is reused while the items run."""
-    by_p: dict = {}
+    the spot and integral rationals are stored as int."""
     cls = MultiPoly
+    out: dict = {}
+    get = out.get
     for c, p, q in items:
         check_k(k, p.k)
         check_k(k, q.k)
         cls = type(p)
-        if c and p.terms and q.terms:
-            by_p.setdefault(id(p), (p, []))[1].append((c, q.terms))
-    out: dict = {}
-    get = out.get
-    for p, scaled in by_p.values():
-        a = p.terms
-        c, b = scaled[0]
-        if len(scaled) > 1:
-            c, b = 1, add_terms({}, ((m, cq * v) for cq, q in scaled for m, v in q.items()))
+        if not c:
+            continue
+        a, b = p.terms, q.terms
         if len(a) > len(b):
             a, b = b, a
         for ma, ca in a.items():
@@ -938,18 +931,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatFunc.zero(self.k)
-        if self.den.is_constant and other.den.is_constant:
-            return RatFunc._raw(self.num * other.num, self.den)
-        # cross-cancel before multiplying to keep the gcd calls small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1 == 1 else self.num.exact_div(g1)
-        d2 = other.den if g1 == 1 else other.den.exact_div(g1)
-        n2 = other.num if g2 == 1 else other.num.exact_div(g2)
-        d1 = self.den if g2 == 1 else self.den.exact_div(g2)
-        return RatFunc._raw(*_monic(n1 * n2, d1 * d2))
+        return ratfunc_product_sum(self.k, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -1189,16 +1171,12 @@ class GF2Poly:
         return _power(self, n, GF2Poly.one())
 
     def formal_derivative(self) -> "GF2Poly":
-        """Termwise derivative: x^i -> (i mod 2) x^(i-1)."""
-        out = 0
-        bits = self.bits >> 1
-        i = 0
-        while bits:
-            if bits & 1 and i % 2 == 0:
-                out |= 1 << i
-            bits >>= 1
-            i += 1
-        return GF2Poly(out)
+        """Termwise derivative: x^i -> (i mod 2) x^(i-1).  Only odd i
+        survive, so it keeps the even-position bits of bits >> 1: the mask
+        0b0101...01 of n - n % 2 bits is (2^(n - n % 2) - 1) / 3."""
+        b = self.bits >> 1
+        n = b.bit_length() + 1
+        return GF2Poly(b & ((1 << n - n % 2) - 1) // 3)
 
     def __eq__(self, other):
         if not isinstance(other, GF2Poly):

@@ -30,7 +30,9 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Mapping
 
-from .exactnum import MultiPoly, Monomial, RatFunc, grlex_key, mono_set, poly_gcd, zero_index
+from .exactnum import (
+    MultiPoly, Monomial, RatFunc, grlex_key, mono_set, poly_gcd, product_sum, zero_index,
+)
 from .deriv import DiffOp, _materialize_partial
 from .leibniz import MapTable
 
@@ -208,16 +210,17 @@ def _clear_denominators(row: list[RatFunc]) -> list[MultiPoly]:
     the rational number that makes it a primitive row over Z[t]: every entry
     is a polynomial with integer coefficients, so the elimination does not
     touch a Fraction.  A row of polynomials costs no gcd of polynomials."""
-    lcm = MultiPoly.const(row[0].k, 1)
+    k = row[0].k
+    lcm = MultiPoly.const(k, 1)
     for v in row:
         d = v.den
         if d.is_constant or d.terms == lcm.terms:
             continue
-        lcm = d if lcm.is_constant else lcm * d.exact_div(poly_gcd(lcm, d))
+        lcm = d if lcm.is_constant else product_sum(k, ((1, lcm, d.exact_div(poly_gcd(lcm, d))),))
     if lcm.is_constant:
         polys = [v.num for v in row]
     else:
-        polys = [v.num * lcm.exact_div(v.den) for v in row]
+        polys = [product_sum(k, ((1, v.num, lcm.exact_div(v.den)),)) for v in row]
     # pairwise: math.lcm(*genexpr) over the coefficients grew the resident
     # set by about 1.3 MB per 800 fits on CPython 3.11, with no traced growth
     den, content = 1, 0
@@ -248,6 +251,7 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     Back-substitution stays fraction-free too: with det the last pivot,
     N_c = (det * rhs_r - sum_c2 a_r,c2 * N_c2) / a_r,c, and each unknown is
     built once as N_c / det, one canonicalisation (one gcd) per unknown.
+    Each entry and each numerator N_c is one ``product_sum``.
     """
     if n < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -283,9 +287,7 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
                 continue
             f = crow[col]
             for j in range(col + 1, ncols + 1):
-                a = p * crow[j]
-                if f:
-                    a = a - f * prow[j]
+                a = product_sum(k, ((1, p, crow[j]), (-1, f, prow[j])))
                 # the first step divides by the empty pivot 1
                 crow[j] = a.exact_div(prev) if pivots else a
             eliminated.append((crow, cidx))
@@ -299,10 +301,8 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     det = prev
     numer: dict[int, MultiPoly] = {}
     for col, prow in reversed(pivots):
-        acc = det * prow[ncols]
-        for c2, n2 in numer.items():
-            acc = acc - prow[c2] * n2
-        numer[col] = acc.exact_div(prow[col])
+        known = [(-1, prow[c2], n2) for c2, n2 in numer.items()]
+        numer[col] = product_sum(k, [(1, det, prow[ncols]), *known]).exact_div(prow[col])
     op = DiffOp(k, {indices[c]: RatFunc(v, det) for c, v in numer.items()})
     return FitResult(op, solution_dim=ncols - len(pivots))
 

@@ -419,8 +419,8 @@ def test_exponent_limit():
 
 
 def test_product_sum_is_the_sum_of_products():
-    # items that share their p (the same object) share one multiplication;
-    # the tuple-key reference multiplies every pair on its own
+    # items may repeat their p and q objects; the tuple-key reference
+    # multiplies every pair on its own
     rng = random.Random(1620)
     polys = [
         {
@@ -491,6 +491,70 @@ def test_ratfunc_product_sum_matches_ratfunc_arithmetic():
                 want = want + f * g * c
             got = ratfunc_product_sum(k, items)
             assert got == want and str(got) == str(want)
+
+
+def _product_corpus():
+    """Seeded (f, g) operand pairs over k = 1..3: RatFunc values of every
+    denominator style, zero, and int, Fraction and MultiPoly operands on
+    either side."""
+    rng = random.Random(1622)
+    for k in (1, 2, 3):
+        pool = [
+            random_ratfunc(rng, k, max_degree=2, den_style=s)
+            for s in ("one", "monomial", "poly", "mixed") * 3
+        ]
+        pool.append(RatFunc.zero(k))
+        others = [0, 3, Fraction(-2, 5), MultiPoly.zero(k), random_ratfunc(rng, k).num]
+        for f in pool:
+            for g in pool:
+                yield k, f, g
+            for g in others:
+                yield k, f, g
+                yield k, g, f
+
+
+def test_ratfunc_product_matches_the_constructor_route():
+    for k, f, g in _product_corpus():
+        a, b = exactnum.as_ratfunc(k, f), exactnum.as_ratfunc(k, g)
+        want = RatFunc(a.num * b.num, a.den * b.den)
+        got = f * g
+        assert type(got) is RatFunc and got == want and str(got) == str(want), (f, g)
+
+
+def test_ratfunc_product_is_one_product_sum(monkeypatch):
+    """Each product of two nonzero RatFunc values builds its numerator in
+    one ``product_sum`` call, and its denominator in a second unless both
+    denominators are 1 (the gcd of the canonical form may make more of its
+    own).  Over denominators 1 and 1 it takes no gcd."""
+    calls = {"gcd": 0, "product_sum": 0}
+    gcd, kernel = exactnum.poly_gcd, exactnum.product_sum
+    depth = [0]
+
+    def counted_gcd(a, b):
+        calls["gcd"] += 1
+        depth[0] += 1
+        try:
+            return gcd(a, b)
+        finally:
+            depth[0] -= 1
+
+    def counted_kernel(k, items):
+        calls["product_sum"] += not depth[0]
+        return kernel(k, items)
+
+    monkeypatch.setattr(exactnum, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(exactnum, "product_sum", counted_kernel)
+    polynomial = 0
+    for _, f, g in _product_corpus():
+        if not (isinstance(f, RatFunc) and isinstance(g, RatFunc) and f and g):
+            continue
+        calls.update(gcd=0, product_sum=0)
+        f * g
+        assert calls["product_sum"] == 1 + (f.den != 1 or g.den != 1), (f, g)
+        if f.den == 1 and g.den == 1:
+            assert calls["gcd"] == 0, (f, g)
+            polynomial += 1
+    assert polynomial > 0
 
 
 def test_no_module_imports_private_exactnum_names():
@@ -568,3 +632,13 @@ def test_gf2_formal_derivative():
     assert (x**2).formal_derivative().is_zero
     assert (x**3).formal_derivative() == x**2
     assert (x**3 + x**2 + x).formal_derivative() == x**2 + GF2Poly.one()
+
+
+def test_gf2_formal_derivative_is_the_termwise_derivative():
+    # x^i -> i * x^(i-1) over GF(2), term by term, for every mask below 2^12
+    for bits in range(1 << 12):
+        want = 0
+        for i in range(1, bits.bit_length()):
+            if (bits >> i) & 1 and i % 2:
+                want ^= 1 << (i - 1)
+        assert GF2Poly(bits).formal_derivative() == GF2Poly(want), bits

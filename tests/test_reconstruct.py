@@ -385,6 +385,32 @@ def test_fit_takes_one_gcd_per_unknown(monkeypatch):
     assert 0 < len(calls) <= ncols
 
 
+def test_fit_makes_no_polynomial_product_outside_the_kernel(monkeypatch):
+    """Scaling the rows, every Bareiss entry and every back-substitution
+    numerator are ``product_sum`` calls: on a degree-fit table (k = 2, n = 2,
+    monomial denominators) ``MultiPoly *`` is never called."""
+    rng = Random(1729)
+    E = random_diffop(rng, 2, 2, in_o0=True, exact_degree=True, den_style="monomial")
+    elements = []
+    while len(elements) < 10:
+        x = RatFunc.from_poly(random_multipoly(rng, 2, max_degree=2, nonzero=True))
+        if not x.num.is_monomial and x not in elements:
+            elements.append(x)
+    table = MapTable.tabulate(E, elements, 2)
+    assert any(not y.den.is_constant for _, y in table)
+    calls = []
+    for dunder in ("__mul__", "__rmul__"):
+        original = getattr(exactnum.MultiPoly, dunder)
+
+        def counted(self, other, original=original):
+            calls.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(exactnum.MultiPoly, dunder, counted)
+    assert fit_operator(table, 2, require_o0=True).operator == E
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # check_recurrence
 # ---------------------------------------------------------------------------
