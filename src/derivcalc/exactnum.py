@@ -1043,7 +1043,8 @@ def ratfunc_product_sum(k: int, items: Iterable) -> RatFunc:
     """The RatFunc sum of c * f * g over (c, f, g) items, c rational and f, g
     RatFunc over k variables.  Products whose denominators pair alike share
     one ``product_sum`` numerator: over 1 and 1 it is the sum itself, with
-    no gcd, and over (d1, d2) it takes one canonical form over d1 * d2.
+    no gcd, and over (d1, d2) it takes one canonical form over d1 * d2, or
+    over the other denominator when one of them is 1.
     RatFunc addition runs only between such groups."""
     groups: dict = {}
     for c, f, g in items:
@@ -1052,7 +1053,8 @@ def ratfunc_product_sum(k: int, items: Iterable) -> RatFunc:
     total = None
     for (d1, d2), group in groups.items():
         num = product_sum(k, group)
-        part = RatFunc._raw(num, d1) if d1.is_constant and d2.is_constant else RatFunc(num, d1 * d2)
+        den = d2 if d1.is_constant else d1 if d2.is_constant else d1 * d2
+        part = RatFunc._raw(num, den) if den.is_constant else RatFunc(num, den)
         total = part if total is None else total + part
     return RatFunc.zero(k) if total is None else total
 

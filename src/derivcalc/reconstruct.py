@@ -17,9 +17,11 @@ with degree <= n.
 Fitting: a degree-bounded operator agreeing with a finite table is a linear
 system over the fraction field in the unknown coefficients.  Each row is
 scaled to polynomials over Z[t], and Bareiss's fraction-free elimination
-(Math. Comp. 22, 1968) either solves it or names the first inconsistent
-row; the elimination divides exactly and takes no gcd, and only building
-each unknown as a fraction takes one.  Free variables are set to zero.
+(Math. Comp. 22, 1968) solves it, eliminating only the rows that become
+pivots; every other row is then proved by substituting the solution, and
+the first one that fails is the first inconsistent row.  The elimination
+divides exactly and takes no gcd, and only building each unknown as a
+fraction takes one.  Free variables are set to zero.
 """
 
 from __future__ import annotations
@@ -233,6 +235,21 @@ def _clear_denominators(row: list[RatFunc]) -> list[MultiPoly]:
     return polys
 
 
+def _bring_up_to_date(k: int, row: list[MultiPoly], pivots: list, done: int) -> None:
+    """Apply Bareiss steps done..len(pivots)-1 (see ``fit_operator``) in
+    place to a row that has had the first `done`.  Step 0 divides by the
+    empty pivot 1, a row with a zero factor is still scaled by p / p_prev,
+    and entries at columns <= the step's column are never read again."""
+    prev = pivots[done - 1][1] if done else None
+    for s in range(done, len(pivots)):
+        c, p, prow = pivots[s]
+        f = row[c]
+        for j in range(c + 1, len(row)):
+            a = product_sum(k, ((1, p, row[j]), (-1, f, prow[j])))
+            row[j] = a.exact_div(prev) if s else a
+        prev = p
+
+
 def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     """Find a degree <= n operator agreeing with the table, or report that
     none exists.
@@ -242,16 +259,28 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     linear equation sum_a c_a d^a(x) = y over the fraction field.  Each row,
     right-hand side included, is scaled by the lcm of its denominators to a
     primitive row over Z[t], and Bareiss's one-step fraction-free
-    elimination (Math. Comp. 22, 1968) runs on the rows: with pivot
-    p and the previous pivot p_prev, every entry below becomes
-    (p * a_ij - a_ic * a_rj) / p_prev, an exact division (Sylvester's
-    identity), so no gcd is taken while eliminating.  The pivot of a column
-    is the remaining row of lowest table index with a nonzero entry there,
-    and columns with no pivot are free (their coefficients are zero).
+    elimination (Math. Comp. 22, 1968) runs on the rows: with pivot p and
+    the previous pivot p_prev, an entry becomes (p * a_ij - a_ic * a_rj) /
+    p_prev, an exact division (Sylvester's identity), so no gcd is taken
+    while eliminating.
+
+    The elimination is lazy.  A row after s steps depends only on the
+    first s pivot rows, so each row keeps its own step count.  The pivot of
+    a column is the remaining row of lowest table index with a nonzero
+    entry there: the search brings the remaining rows up to date in table
+    order and stops at the first one nonzero in the column, so rows after
+    it are not touched.  Columns with no pivot are free (their coefficients
+    are zero), and their search brings every remaining row up to date.
+
     Back-substitution stays fraction-free too: with det the last pivot,
     N_c = (det * rhs_r - sum_c2 a_r,c2 * N_c2) / a_r,c, and each unknown is
     built once as N_c / det, one canonicalisation (one gcd) per unknown.
-    Each entry and each numerator N_c is one ``product_sum``.
+    Every row that never became a pivot is then proved by substitution on
+    its cleared row, in table order: the residual sum_c a_rc * N_c - det *
+    b_r is a nonzero multiple of the row's fully reduced right-hand side
+    (each Bareiss multiplier is a pivot), so the first nonzero residual
+    names the same `inconsistent_row` as eliminating every row would.
+    Each entry, numerator N_c and residual is one ``product_sum``.
     """
     if n < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -264,45 +293,38 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
     indices.sort(key=grlex_key)
     ncols = len(indices)
     # each row is [d^a(x) for a in indices] + [y] scaled to Z[t], in table order
-    remaining: list[tuple[list[MultiPoly], int]] = []
-    for rowidx, (x, y) in enumerate(table):
+    rows: list[list[MultiPoly]] = []
+    for x, y in table:
         # evaluate all d^a(x) in one shared derivative chain
         cache = {zero_index(k): x}
         row = [_materialize_partial(cache, alpha) for alpha in indices]
         row.append(y)
-        remaining.append((_clear_denominators(row), rowidx))
-    pivots: list[tuple[int, list[MultiPoly]]] = []  # (col, row)
-    prev = MultiPoly.const(k, 1)
+        rows.append(_clear_denominators(row))
+    # working copies and their Bareiss step counts; remaining in table order
+    work = [list(row) for row in rows]
+    steps = [0] * len(rows)
+    remaining = list(range(len(rows)))
+    pivots: list[tuple[int, MultiPoly, list[MultiPoly]]] = []  # (col, pivot, row)
     for col in range(ncols):
-        pivot = next((r for r in remaining if r[0][col]), None)
-        if pivot is None:
-            continue
-        prow = pivot[0]
-        p = prow[col]
-        # entries at columns <= col of the rows left are eliminated and never
-        # read again; a row with a zero factor is still scaled by p / prev
-        eliminated = []
-        for crow, cidx in remaining:
-            if crow is prow:
-                continue
-            f = crow[col]
-            for j in range(col + 1, ncols + 1):
-                a = product_sum(k, ((1, p, crow[j]), (-1, f, prow[j])))
-                # the first step divides by the empty pivot 1
-                crow[j] = a.exact_div(prev) if pivots else a
-            eliminated.append((crow, cidx))
-        remaining = eliminated
-        pivots.append((col, prow))
-        prev = p
-    for crow, cidx in remaining:
-        if crow[ncols]:
-            return FitResult(None, inconsistent_row=cidx)
+        for r in remaining:
+            _bring_up_to_date(k, work[r], pivots, steps[r])
+            steps[r] = len(pivots)
+            if work[r][col]:
+                remaining.remove(r)
+                pivots.append((col, work[r][col], work[r]))
+                break
     # back-substitute fraction-free, free variables zero
-    det = prev
+    det = pivots[-1][1] if pivots else MultiPoly.const(k, 1)
     numer: dict[int, MultiPoly] = {}
-    for col, prow in reversed(pivots):
+    for col, p, prow in reversed(pivots):
         known = [(-1, prow[c2], n2) for c2, n2 in numer.items()]
-        numer[col] = product_sum(k, [(1, det, prow[ncols]), *known]).exact_div(prow[col])
+        numer[col] = product_sum(k, [(1, det, prow[ncols]), *known]).exact_div(p)
+    # prove every surplus row by substitution
+    for r in remaining:
+        row = rows[r]
+        terms = [(1, row[c], v) for c, v in numer.items()]
+        if product_sum(k, [*terms, (-1, det, row[ncols])]):
+            return FitResult(None, inconsistent_row=r)
     op = DiffOp(k, {indices[c]: RatFunc(v, det) for c, v in numer.items()})
     return FitResult(op, solution_dim=ncols - len(pivots))
 

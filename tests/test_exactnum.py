@@ -523,9 +523,9 @@ def test_ratfunc_product_matches_the_constructor_route():
 
 def test_ratfunc_product_is_one_product_sum(monkeypatch):
     """Each product of two nonzero RatFunc values builds its numerator in
-    one ``product_sum`` call, and its denominator in a second unless both
-    denominators are 1 (the gcd of the canonical form may make more of its
-    own).  Over denominators 1 and 1 it takes no gcd."""
+    one ``product_sum`` call, and its denominator in a second only when
+    neither denominator is 1 (the gcd of the canonical form may make more of
+    its own).  Over denominators 1 and 1 it takes no gcd."""
     calls = {"gcd": 0, "product_sum": 0}
     gcd, kernel = exactnum.poly_gcd, exactnum.product_sum
     depth = [0]
@@ -544,17 +544,18 @@ def test_ratfunc_product_is_one_product_sum(monkeypatch):
 
     monkeypatch.setattr(exactnum, "poly_gcd", counted_gcd)
     monkeypatch.setattr(exactnum, "product_sum", counted_kernel)
-    polynomial = 0
+    polynomial = one_sided = 0
     for _, f, g in _product_corpus():
         if not (isinstance(f, RatFunc) and isinstance(g, RatFunc) and f and g):
             continue
         calls.update(gcd=0, product_sum=0)
         f * g
-        assert calls["product_sum"] == 1 + (f.den != 1 or g.den != 1), (f, g)
+        assert calls["product_sum"] == 1 + (f.den != 1 and g.den != 1), (f, g)
         if f.den == 1 and g.den == 1:
             assert calls["gcd"] == 0, (f, g)
             polynomial += 1
-    assert polynomial > 0
+        one_sided += (f.den == 1) != (g.den == 1)
+    assert polynomial > 0 and one_sided > 0
 
 
 def test_no_module_imports_private_exactnum_names():

@@ -1,16 +1,18 @@
 """Grid reconstruction, finite-table fitting, recurrence checking."""
 
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
 from random import Random
 
 import pytest
 
 import derivcalc
-from derivcalc import exactnum
+from derivcalc import exactnum, reconstruct
 from derivcalc.exactnum import RatFunc, grlex_key
 from derivcalc.deriv import Derivation, DiffOp
-from derivcalc.leibniz import MapTable
+from derivcalc.leibniz import MapTable, nested_defect
 from derivcalc.reconstruct import (
     DegreeOverflowError,
     FitResult,
@@ -409,6 +411,157 @@ def test_fit_makes_no_polynomial_product_outside_the_kernel(monkeypatch):
         monkeypatch.setattr(exactnum.MultiPoly, dunder, counted)
     assert fit_operator(table, 2, require_o0=True).operator == E
     assert calls == []
+
+
+_SURPLUS_KINDS = ("sum-row", "perturbed-early", "perturbed-late", "free")
+
+
+def _surplus_corpus():
+    """Seeded (table, n, require_o0, kind, perturbed) cases with 2-3 times as
+    many rows as unknowns, so most rows are surplus: a consistent table whose
+    row 2 is the element x0 + x1 (a row dependent on two earlier ones, so no
+    pivot, which the pivot search scans past); a perturbed row before the
+    last pivot, and one among the surplus rows after it; and tables with free
+    columns (k = 1 elements of degree < n, k = 2 elements in t1 only)."""
+    rng = Random(1931)
+    for k, n, require_o0 in product((1, 2), (1, 2, 3), (True, False)):
+        if k + n > 4:
+            continue
+        ncols = sum(1 for a in product(range(n + 1), repeat=k) if sum(a) <= n) - require_o0
+        for kind in _SURPLUS_KINDS:
+            if kind == "free" and k == n == 1:
+                continue
+            size = max(rng.choice((2, 3)) * ncols, 4)
+            E = random_diffop(rng, k, n, in_o0=require_o0, den_style="monomial")
+            elements = []
+            while len(elements) < size:
+                if kind == "free":
+                    terms = {(e,) + (0,) * (k - 1): rng.choice((-3, -2, -1, 1, 2, 3)) for e in
+                             rng.sample(range(n if k == 1 else n + 2), 2)}
+                    x = RatFunc.from_poly(exactnum.MultiPoly(k, terms))
+                elif kind == "sum-row" and len(elements) == 2:
+                    x = elements[0] + elements[1]
+                    if not x or x in elements:
+                        elements.pop()  # draw another x1
+                        continue
+                else:
+                    x = RatFunc.from_poly(random_multipoly(rng, k, max_degree=n, nonzero=True))
+                    if k + n <= 3 and rng.random() < 0.5:
+                        x = x / (RatFunc.variable(k, rng.randrange(k)) + rng.choice((-1, 2)))
+                if x and x not in elements:
+                    elements.append(x)
+            pairs = [(x, E(x)) for x in elements]
+            i = None
+            if kind == "perturbed-early" and ncols > 1:
+                i = rng.randrange(ncols - 1)
+            elif kind.startswith("perturbed"):
+                i = rng.randrange(ncols + 1, size)
+            if i is not None:
+                pairs[i] = (pairs[i][0], pairs[i][1] + RatFunc.variable(k, rng.randrange(k)))
+            yield MapTable.from_pairs(pairs, k), n, require_o0, kind, i
+
+
+def test_fit_with_many_surplus_rows_agrees_with_the_ratfunc_elimination():
+    verdicts = {}
+    for table, n, require_o0, kind, i in _surplus_corpus():
+        got = fit_operator(table, n, require_o0=require_o0)
+        assert got == _fit_reference(table, n, require_o0=require_o0), (table, n, require_o0)
+        verdicts.setdefault(kind, set()).add(got.ok)
+        if kind == "perturbed-late":
+            # every row before the perturbed one comes from the operator
+            assert got.inconsistent_row == i, (table, n, require_o0)
+        if kind == "free":
+            assert got.solution_dim > 0, (table, n, require_o0)
+    assert verdicts == dict(zip(_SURPLUS_KINDS, ({True}, {False}, {False}, {True})))
+
+
+def test_fit_eliminates_only_the_pivot_rows(monkeypatch):
+    """A degree-fit-shaped table (k = 2, n = 2, O0: 5 unknowns) of 10
+    polynomial rows whose first 5 are independent.  Row r = 1..4 becomes the
+    pivot of column r after r Bareiss steps, of 5, 4, 3 and 2 entries in
+    turn, and rows 5..9 are only proved by substitution: 40 elimination
+    products (eliminating every row takes 115) and 20 exact divisions by
+    the previous pivot (against 70), then 5 for back-substitution.  Any
+    step on a later row would add at least 5 products."""
+    rng = Random(2029)
+    E = random_diffop(rng, 2, 2, in_o0=True, exact_degree=True, den_style="one")
+    elements = []
+    while len(elements) < 10:
+        x = RatFunc.from_poly(random_multipoly(rng, 2, max_degree=3, nonzero=True))
+        if x not in elements:
+            elements.append(x)
+    table = MapTable.tabulate(E, elements, 2)
+    assert all(x.den == 1 and y.den == 1 for x, y in table)
+    assert fit_operator(MapTable(table.entries[:5], 2), 2).solution_dim == 0
+    calls = []
+    kernel, divide = reconstruct.product_sum, exactnum.MultiPoly.exact_div
+
+    def counted_kernel(k, items):
+        calls.append(("product_sum", sys._getframe(1).f_code.co_name))
+        return kernel(k, items)
+
+    def counted_divide(self, other):
+        frame = sys._getframe(1)
+        if frame.f_globals["__name__"] == reconstruct.__name__:
+            calls.append(("exact_div", frame.f_code.co_name))
+        return divide(self, other)
+
+    monkeypatch.setattr(reconstruct, "product_sum", counted_kernel)
+    monkeypatch.setattr(exactnum.MultiPoly, "exact_div", counted_divide)
+    res = fit_operator(table, 2, require_o0=True)
+    assert res.operator == E and res.solution_dim == 0
+    assert calls.count(("product_sum", "_bring_up_to_date")) == 5 + 9 + 12 + 14
+    assert calls.count(("exact_div", "_bring_up_to_date")) == 20
+    assert calls.count(("exact_div", "fit_operator")) == 5
+    # 5 back-substitution numerators and one residual per surplus row
+    assert calls.count(("product_sum", "fit_operator")) == 5 + 5
+
+
+def _subset_products(zs):
+    """S(Z): the products of the nonempty subsets of zs, each value once."""
+    out = []
+    for size in range(1, len(zs) + 1):
+        for subset in combinations(zs, size):
+            p = prod(subset[1:], start=subset[0])
+            if p not in out:
+                out.append(p)
+    return out
+
+
+def test_theorem1_a_fit_on_the_subset_products_kills_the_nested_defect():
+    """The n-fold nested defect at Z = (x, y1..yn) reads its map only on
+    S(Z).  So when an O0 operator of degree <= n fits D on S(Z), the defect
+    equals that operator's, which is zero: ``fit_operator`` passing implies
+    ``nested_defect`` vanishing, for operators and black boxes alike."""
+    rng = Random(1747)
+    verdicts = {}
+    for k, n in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        for _ in range(3):
+            # a constant in Z would make every defect of an O0 operator vanish
+            zs = []
+            while len(zs) <= n:
+                z = random_sparse_poly(rng, k, max_degree=2)
+                if not z.is_constant:
+                    zs.append(RatFunc.from_poly(z))
+            S = _subset_products(zs)
+            E = random_diffop(rng, k, n, in_o0=True, den_style="monomial")
+            c = RatFunc.const(k, rng.choice((-2, 1, 3)))
+            maps = {
+                "degree n": E,
+                "degree n+1": random_diffop(rng, k, n + 1, in_o0=True, den_style="monomial"),
+                "identity part": E + DiffOp(k, {(0,) * k: c}),
+                # not additive, and equal to E on S(Z) only
+                "black box on S(Z)": lambda z, E=E, S=S: E(z) if z in S else z * z,
+                "black box z^2": lambda z: z * z,
+            }
+            for kind, D in maps.items():
+                fit = fit_operator(MapTable.tabulate(D, S, k), n, require_o0=True)
+                defect = nested_defect(D, zs[0], zs[1:])
+                assert not fit.ok or defect.is_zero, (kind, k, n, zs)
+                verdicts.setdefault(kind, set()).add(fit.ok)
+    # operators of degree n and the black box equal to one on S(Z) always fit
+    assert verdicts["degree n"] == verdicts["black box on S(Z)"] == {True}
+    assert set.union(*verdicts.values()) == {False, True}
 
 
 # ---------------------------------------------------------------------------
