@@ -6,126 +6,81 @@ forms, the product-rule-defect order calculus, multiplicative difference
 operators and exponent polynomials, grid reconstruction and finite-table
 fitting of operators, a linear-recurrence checker, and desk-scale
 counterexample fixtures, all exposed through the ``derivcalc`` CLI.
+
+``import derivcalc`` loads no submodule: each exported name is read from
+its defining module on first use (PEP 562), so a CLI call loads only the
+modules its command runs.
 """
 
-from .exactnum import (
-    DimensionMismatchError,
-    GF2Poly,
-    InexactDivisionError,
-    MultiPoly,
-    PoleError,
-    RatFunc,
-    poly_gcd,
-)
-from .deriv import (
-    Derivation,
-    DiffOp,
-    OpWord,
-    apply_diffop,
-    compose,
-    normalize,
-)
-from .leibniz import (
-    CheckResult,
-    MapTable,
-    NotInO0Error,
-    defect,
-    nested_defect,
-    order_exact,
-    order_upper_check,
-    order_witness,
-)
-from .genpoly import (
-    ExpPoly,
-    degree_bump,
-    delta,
-    exponent_polynomial,
-    expoly_degree,
-    gp_degree_check,
-    over_identity,
-)
-from .reconstruct import (
-    DegreeOverflowError,
-    FitResult,
-    GridValues,
-    IncompleteGridError,
-    RecurrenceSpec,
-    check_recurrence,
-    fit_operator,
-    newton_coeffs,
-    reconstruct_operator,
-)
-from .fixtures import (
-    PairPoly,
-    char2_D,
-    char2_compose_check,
-    char2_order_check,
-    product_ring_demo,
-    theorem2_demo,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_READERS = ("parse_derivation", "parse_diffop", "parse_expr", "parse_word")
+# Each exported name and the submodule that defines it; the readers live in
+# the CLI module, since a package that imported its own front end would make
+# ``python -m derivcalc.cli`` warn that the module is already loaded.
+_EXPORTS = {
+    "CheckResult": "leibniz",
+    "DegreeOverflowError": "reconstruct",
+    "Derivation": "deriv",
+    "DiffOp": "deriv",
+    "DimensionMismatchError": "exactnum",
+    "ExpPoly": "genpoly",
+    "FitResult": "reconstruct",
+    "GF2Poly": "exactnum",
+    "GridValues": "reconstruct",
+    "IncompleteGridError": "reconstruct",
+    "InexactDivisionError": "exactnum",
+    "MapTable": "leibniz",
+    "MultiPoly": "exactnum",
+    "NotInO0Error": "deriv",
+    "OpWord": "deriv",
+    "PairPoly": "fixtures",
+    "PoleError": "exactnum",
+    "RatFunc": "exactnum",
+    "RecurrenceSpec": "reconstruct",
+    "apply_diffop": "deriv",
+    "char2_D": "fixtures",
+    "char2_compose_check": "fixtures",
+    "char2_order_check": "fixtures",
+    "check_recurrence": "reconstruct",
+    "compose": "deriv",
+    "defect": "leibniz",
+    "degree_bump": "genpoly",
+    "delta": "genpoly",
+    "exponent_polynomial": "genpoly",
+    "expoly_degree": "genpoly",
+    "fit_operator": "reconstruct",
+    "gp_degree_check": "genpoly",
+    "nested_defect": "leibniz",
+    "newton_coeffs": "reconstruct",
+    "normalize": "deriv",
+    "order_exact": "leibniz",
+    "order_upper_check": "leibniz",
+    "order_witness": "leibniz",
+    "over_identity": "genpoly",
+    "parse_derivation": "cli",
+    "parse_diffop": "cli",
+    "parse_expr": "cli",
+    "parse_word": "cli",
+    "poly_gcd": "exactnum",
+    "product_ring_demo": "fixtures",
+    "reconstruct_operator": "reconstruct",
+    "theorem2_demo": "fixtures",
+}
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
-    # The readers live in the CLI module, loaded on first use (PEP 562): a
-    # package that imports its own front end makes ``python -m derivcalc.cli``
-    # warn that the module is already loaded.
-    if name in _READERS:
-        from . import cli
+    # Read on every access, never stored in the package namespace: a stored
+    # value would keep whatever the module held at first use, such as a
+    # wrapper that was later swapped back out.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "CheckResult",
-    "DegreeOverflowError",
-    "Derivation",
-    "DiffOp",
-    "DimensionMismatchError",
-    "ExpPoly",
-    "FitResult",
-    "GF2Poly",
-    "GridValues",
-    "IncompleteGridError",
-    "InexactDivisionError",
-    "MapTable",
-    "MultiPoly",
-    "NotInO0Error",
-    "OpWord",
-    "PairPoly",
-    "PoleError",
-    "RatFunc",
-    "RecurrenceSpec",
-    "apply_diffop",
-    "char2_D",
-    "char2_compose_check",
-    "char2_order_check",
-    "check_recurrence",
-    "compose",
-    "defect",
-    "degree_bump",
-    "delta",
-    "exponent_polynomial",
-    "expoly_degree",
-    "fit_operator",
-    "gp_degree_check",
-    "nested_defect",
-    "newton_coeffs",
-    "normalize",
-    "order_exact",
-    "order_upper_check",
-    "order_witness",
-    "over_identity",
-    "parse_derivation",
-    "parse_diffop",
-    "parse_expr",
-    "parse_word",
-    "poly_gcd",
-    "product_ring_demo",
-    "reconstruct_operator",
-    "theorem2_demo",
-]
+def __dir__():
+    return __all__

@@ -51,19 +51,20 @@ from .exactnum import (
     add_terms,
     zero_index,
 )
-from .deriv import Derivation, DiffOp, OpWord, compose, normalize
-from .genpoly import exponent_polynomial, gp_degree_check, over_identity
-from .leibniz import MapTable, NotInO0Error, nested_defect, order_exact
-from .reconstruct import (
-    DegreeOverflowError,
-    GridValues,
-    RecurrenceSpec,
-    check_recurrence,
-    fit_operator,
-    reconstruct_operator,
-)
-from .fixtures import char2_compose_check, char2_order_check, product_ring_demo, theorem2_demo
+from .deriv import Derivation, DiffOp, NotInO0Error, OpWord, compose, normalize
 from .sampling import DEFAULT_SEED, random_derivation, random_sparse_ratfunc
+
+
+def __getattr__(name):
+    # Each command imports the engine names it calls when it runs, so that a
+    # cold call loads only the modules its command needs.  Those names still
+    # read as attributes of this module (``cli.fit_operator``), resolved
+    # through the package's export table on every access and never stored.
+    from . import _EXPORTS
+
+    if _EXPORTS.get(name, "cli") == "cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 class ExprSyntaxError(ValueError):
@@ -370,6 +371,8 @@ def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
 def parse_table_json(raw: str, k: int) -> MapTable:
     """MapTable JSON: an object mapping expression strings to expression
     strings or integers."""
+    from .leibniz import MapTable
+
     _check_least_k(k)  # an empty table parses no expression
     data = _load_json_arg(raw)
     if not isinstance(data, dict):
@@ -382,6 +385,8 @@ def parse_table_json(raw: str, k: int) -> MapTable:
 
 def parse_grid_json(raw: str) -> GridValues:
     """GridValues JSON: {"k": int, "n": int, "values": {"i1,...,ik": expr}}."""
+    from .reconstruct import GridValues
+
     data = _load_json_arg(raw)
     if not isinstance(data, dict) or not {"k", "n", "values"} <= set(data):
         raise ExprSyntaxError('grid JSON needs "k", "n" and "values"')
@@ -485,12 +490,16 @@ def _cmd_compose(args, seed):
 
 
 def _cmd_order(args, seed):
+    from .leibniz import order_exact
+
     op = _operator_from_args(args)
     line = "order: {} (zero map)" if op.is_zero else "order: {}"
     return True, [("order", line, order_exact(op)), ("zero_map", None, op.is_zero)]
 
 
 def _cmd_defect(args, seed):
+    from .leibniz import nested_defect
+
     k = args.k
     op = _operator_from_args(args)
     x = parse_expr(args.x, k)
@@ -500,6 +509,8 @@ def _cmd_defect(args, seed):
 
 
 def _cmd_gpdeg(args, seed):
+    from .genpoly import gp_degree_check, over_identity
+
     k = args.k
     op = _operator_from_args(args)
     f = over_identity(op)
@@ -525,6 +536,8 @@ def _cmd_gpdeg(args, seed):
 
 
 def _cmd_expoly(args, seed):
+    from .genpoly import exponent_polynomial
+
     p = exponent_polynomial(_operator_from_args(args))
     return True, [
         ("exponent_polynomial", "exponent polynomial: {}", p),
@@ -533,6 +546,8 @@ def _cmd_expoly(args, seed):
 
 
 def _cmd_reconstruct(args, seed):
+    from .reconstruct import DegreeOverflowError, reconstruct_operator
+
     grid = parse_grid_json(args.grid)
     try:
         return _operator_out(reconstruct_operator(grid))
@@ -546,6 +561,8 @@ def _cmd_reconstruct(args, seed):
 
 
 def _cmd_fit(args, seed):
+    from .reconstruct import fit_operator
+
     table = parse_table_json(args.table, args.k)
     res = fit_operator(table, args.n, require_o0=args.require_o0)
     if not res.ok:
@@ -560,6 +577,8 @@ def _cmd_fit(args, seed):
 
 
 def _cmd_recurrence(args, seed):
+    from .reconstruct import RecurrenceSpec, check_recurrence
+
     k = args.k
     coeffs = parse_exprs_json(args.coeffs, k)
     seq = parse_exprs_json(args.seq, k)
@@ -571,6 +590,8 @@ def _cmd_recurrence(args, seed):
 
 
 def _cmd_demo(args, seed):
+    from .fixtures import char2_compose_check, char2_order_check, product_ring_demo, theorem2_demo
+
     if args.which == "char2":
         rep = char2_order_check()
         comp = char2_compose_check(GF2Poly.one())

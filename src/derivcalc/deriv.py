@@ -45,6 +45,10 @@ from .exactnum import (
 )
 
 
+class NotInO0Error(ValueError):
+    """The operator has an identity component, so it does not kill 1."""
+
+
 class DiffOp(RatFuncTerms):
     """Canonical differential operator: finite sum of c_a * d^a (``terms`` maps a to c_a)."""
 

@@ -53,15 +53,11 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import RatFunc, grlex_key, mono_set, zero_index
-from .deriv import DiffOp, leibniz_sum
+from .deriv import DiffOp, NotInO0Error, leibniz_sum
 
 # Anything that maps field elements to field elements: a DiffOp (a
 # Derivation is one) or a plain python callable.
 PointMap = Callable[[RatFunc], RatFunc]
-
-
-class NotInO0Error(ValueError):
-    """The operator has an identity component, so it does not kill 1."""
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,11 @@ def _clear_denominators(row: list[RatFunc]) -> list[MultiPoly]:
     if lcm.is_constant:
         polys = [v.num for v in row]
     else:
-        polys = [product_sum(k, ((1, v.num, lcm.exact_div(v.den)),)) for v in row]
+        # a constant (monic) denominator is 1: scale by the lcm itself
+        polys = [
+            product_sum(k, ((1, v.num, lcm if v.den.is_constant else lcm.exact_div(v.den)),))
+            for v in row
+        ]
     # pairwise: math.lcm(*genexpr) over the coefficients grew the resident
     # set by about 1.3 MB per 800 fits on CPython 3.11, with no traced growth
     den, content = 1, 0

@@ -636,7 +636,7 @@ def test_cli_runs_as_a_module_without_warnings():
 def test_package_loads_the_readers_on_first_use():
     script = (
         "import sys, derivcalc\n"
-        "assert 'derivcalc.cli' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('derivcalc.')]\n"
         "from derivcalc import *\n"
         "assert set(derivcalc.__all__) <= set(dir())\n"
         "from derivcalc import parse_expr\n"
@@ -648,6 +648,98 @@ def test_package_loads_the_readers_on_first_use():
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The modules every CLI call loads, and each command's argv with the engine
+# modules it adds to them.
+_BASE = ("cli", "deriv", "exactnum", "sampling")
+_COLD_CALLS = [
+    (["apply", "--k", "1", "--op", "d[1]", "--expr", "t1^2"], ()),
+    (["normalize", "--k", "1", "--word", "(t1 -> 1)"], ()),
+    (["compose", "--k", "1", "--op1", "d[1]", "--op2", "t1 * d[1]"], ()),
+    (["order", "--k", "1", "--op", "d[2]"], ("leibniz",)),
+    (["defect", "--k", "1", "--op", "d[2]", "--x", "t1", "--y", "t1"], ("leibniz",)),
+    (["expoly", "--k", "1", "--op", "d[2]"], ("genpoly", "leibniz")),
+    (
+        ["gpdeg", "--k", "1", "--op", "d[1]", "--n", "1", "--increment", "2",
+         "--increment", "3", "--point", "t1"],
+        ("genpoly", "leibniz"),
+    ),
+    (
+        ["reconstruct", "--grid", '{"k":1,"n":2,"values":{"0":"0","1":"0","2":"2"}}'],
+        ("leibniz", "reconstruct"),
+    ),
+    (["fit", "--k", "1", "--n", "1", "--table", '{"t1":"1"}'], ("leibniz", "reconstruct")),
+    (
+        ["recurrence", "--coeffs", '["-1","-1","1"]', "--seq", '["1","1","2","3"]'],
+        ("leibniz", "reconstruct"),
+    ),
+    (["demo", "char2"], ("fixtures", "genpoly", "leibniz")),
+]
+
+
+@pytest.mark.parametrize("argv, extra", _COLD_CALLS, ids=[argv[0] for argv, _ in _COLD_CALLS])
+def test_cold_call_loads_only_the_modules_its_command_runs(argv, extra):
+    script = (
+        "import sys\n"
+        "from derivcalc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('derivcalc.')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.strip().splitlines()[-1]
+    assert loaded == repr(sorted(f"derivcalc.{m}" for m in _BASE + extra))
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    for name in derivcalc.__all__:
+        value = getattr(derivcalc, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__ == f"derivcalc.{derivcalc._EXPORTS[name]}", name
+        assert vars(module)[name] is value, name
+        assert getattr(cli, name) is value, name
+    assert sorted(dir(derivcalc)) == sorted(derivcalc.__all__)
+    with pytest.raises(AttributeError):
+        derivcalc.no_such_name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_exported_names_are_read_again_after_a_patch_is_undone(monkeypatch):
+    from derivcalc import leibniz, reconstruct
+
+    originals = [(leibniz, "nested_defect"), (reconstruct, "fit_operator")]
+    for module, name in originals:
+        original = getattr(module, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, lambda *args: None)
+            assert getattr(derivcalc, name) is getattr(cli, name) is getattr(module, name)
+            assert getattr(derivcalc, name) is not original
+        assert getattr(derivcalc, name) is getattr(cli, name) is original
+        # nothing was stored where a later read would find it first
+        assert name not in vars(derivcalc) and name not in vars(cli)
+
+
+def test_not_in_o0_error_is_one_class():
+    from derivcalc import deriv, leibniz
+
+    assert deriv.NotInO0Error is leibniz.NotInO0Error is derivcalc.NotInO0Error
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+def test_cold_order_of_an_identity_part_is_an_error(flag):
+    message = "operator has an identity component, E(1) != 0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "derivcalc.cli", *flag, "order", "--k", "1", "--op", "(1)"],
+        capture_output=True, text=True, timeout=60, env=_child_env(PYTHONWARNINGS="error"),
+    )
+    expected = json.dumps({"error": message}) if flag else f"error: {message}"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, expected + "\n", "")
 
 
 def test_cli_parse_error_exit_code(capsys):

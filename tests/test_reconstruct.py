@@ -517,6 +517,42 @@ def test_fit_eliminates_only_the_pivot_rows(monkeypatch):
     assert calls.count(("product_sum", "fit_operator")) == 5 + 5
 
 
+def test_clearing_denominators_divides_by_no_constant(monkeypatch):
+    """A degree-fit-shaped table (k = 2, n = 2, an operator with monomial
+    denominators, 10 non-monomial polynomial elements): each row's entries
+    are polynomials but its value is not, so the row is scaled by a
+    non-constant lcm.  An entry with the constant denominator 1 is scaled by
+    the lcm itself: every exact division the scaling makes is by one of the
+    denominators that are not constant."""
+    rng = Random(1729)
+    E = random_diffop(rng, 2, 2, in_o0=True, exact_degree=True, den_style="monomial")
+    elements = []
+    while len(elements) < 10:
+        p = random_multipoly(rng, 2, max_degree=2, nonzero=True)
+        x = RatFunc.from_poly(p)
+        if not p.is_monomial and x not in elements:
+            elements.append(x)
+    table = MapTable.tabulate(E, elements, 2)
+    assert any(y.den != 1 for _, y in table)
+    divisors = []
+    divide = exactnum.MultiPoly.exact_div
+
+    def counted_divide(self, other):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<listcomp>":  # a frame of its own before Python 3.12
+            frame = frame.f_back
+        if frame.f_code.co_name == "_clear_denominators":
+            divisors.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(exactnum.MultiPoly, "exact_div", counted_divide)
+    res = fit_operator(table, 2, require_o0=True)
+    assert res.operator == E
+    assert not any(d.is_constant for d in divisors)
+    # the value's denominator once per row whose lcm it is, no entry's 1
+    assert 0 < len(divisors) <= 2 * len(table.entries)
+
+
 def _subset_products(zs):
     """S(Z): the products of the nonempty subsets of zs, each value once."""
     out = []
