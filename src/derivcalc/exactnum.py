@@ -251,12 +251,13 @@ def product_sum(k: int, items: Iterable):
 def sparse_product(self, other):
     """``__mul__``/``__rmul__`` of a ``PackedKeys`` class: the sparse product
     with a value of the same class, the one-pair ``product_sum``, and
-    ``scale`` by one of the class's ``_scalars``."""
+    ``scale`` by one of the class's ``_scalars``.  The same class is tested
+    first: ``_scalars`` holds ``Fraction``, an ABC-checked ``isinstance``."""
+    if type(other) is type(self):
+        return product_sum(self.k, ((1, self, other),))
     if isinstance(other, self._scalars):
         return self.scale(other)
-    if type(other) is not type(self):
-        return NotImplemented
-    return product_sum(self.k, ((1, self, other),))
+    return NotImplemented
 
 
 class TermMap:
@@ -350,9 +351,14 @@ class TermMap:
         return self._raw(self.k, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not type(self) and self._common(other) is None:
-            return NotImplemented
-        return self + (-other)
+        cls = type(self)
+        if type(other) is not cls:
+            cls = self._common(other)
+            if cls is None:
+                return NotImplemented
+        check_k(self.k, other.k)
+        negated = ((a, -c) for a, c in other.terms.items())
+        return cls._raw(self.k, add_terms(dict(self.terms), negated))
 
     def __eq__(self, other):
         if type(other) is not type(self) and self._common(other) is None:
@@ -900,7 +906,12 @@ class RatFunc:
         # left to cancel out of t / (d1*(d2/g)) divide g, so one small gcd
         # finishes the job; when d1 or d2 is 1, so is g
         g = d1 if d1.is_constant else d2 if d2.is_constant else poly_gcd(d1, d2)
-        r1, r2 = (d1, d2) if g.is_constant else (d1.exact_div(g), d2.exact_div(g))
+        if g.is_constant:
+            r1, r2 = d1, d2
+        else:  # a denominator that is g itself leaves the quotient 1
+            one = MultiPoly.const(self.k, 1)
+            r1 = one if g.terms == d1.terms else d1.exact_div(g)
+            r2 = one if g.terms == d2.terms else d2.exact_div(g)
         t = product_sum(self.k, ((1, n1, r2), (1, n2, r1)))
         if t.is_zero:
             return RatFunc.zero(self.k)
@@ -1152,7 +1163,7 @@ class GF2Poly:
     def __add__(self, other):
         if not isinstance(other, GF2Poly):
             return NotImplemented
-        return GF2Poly(self.bits ^ other.bits)
+        return _gf2(self.bits ^ other.bits)
 
     __sub__ = __add__  # characteristic 2
 
@@ -1160,12 +1171,14 @@ class GF2Poly:
         if not isinstance(other, GF2Poly):
             return NotImplemented
         a, b = self.bits, other.bits
+        if a.bit_count() > b.bit_count():
+            a, b = b, a  # one shifted copy of b per set bit of a
         out = 0
         while a:
             low = a & -a
             out ^= b << (low.bit_length() - 1)
             a ^= low
-        return GF2Poly(out)
+        return _gf2(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1178,7 +1191,7 @@ class GF2Poly:
         0b0101...01 of n - n % 2 bits is (2^(n - n % 2) - 1) / 3."""
         b = self.bits >> 1
         n = b.bit_length() + 1
-        return GF2Poly(b & ((1 << n - n % 2) - 1) // 3)
+        return _gf2(b & ((1 << n - n % 2) - 1) // 3)
 
     def __eq__(self, other):
         if not isinstance(other, GF2Poly):
@@ -1186,8 +1199,9 @@ class GF2Poly:
         return self.bits == other.bits
 
     def __hash__(self):
-        # shared with the int self.bits, which never compares equal to it
-        return hash(self.bits)
+        # the int self.bits, which never compares equal to it; CPython
+        # re-hashes a value out of the hash range itself
+        return self.bits
 
     def __bool__(self):
         return self.bits != 0
@@ -1203,3 +1217,13 @@ class GF2Poly:
 
     def __repr__(self):
         return f"GF2Poly({str(self)!r})"
+
+
+_set_bits = GF2Poly.bits.__set__
+
+
+def _gf2(bits: int) -> GF2Poly:
+    """Internal GF2Poly constructor for a mask known to be nonnegative."""
+    p = object.__new__(GF2Poly)
+    _set_bits(p, bits)
+    return p

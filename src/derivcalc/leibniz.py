@@ -110,18 +110,21 @@ class _Memo:
 
     ``nest(step, ys, z)`` is the map at z with ``step(level, z, y)`` applied
     once per element y of ys, the last element outermost; ``level`` is the
-    nesting one element shorter.  ``defect`` is the defect step.  One table
-    holds the map's values and the inner levels, keyed on (step, ys, z), so
-    a level shared by many tuples is computed once.  The outermost level is
-    not kept: each caller asks for each tuple once.  ys = () is the map
-    itself.
+    nesting one element shorter.  ``defect`` is the defect step.  ``table``
+    holds the map's values, keyed on x; ``levels`` holds one table per
+    nesting level, keyed on (step, ys) and looked up once per ``nest`` call,
+    whose values are keyed on the element w alone, so a level shared by
+    many tuples is computed once.  The outermost level is not kept: each
+    caller asks for each tuple once.  ys = () is the map itself, and a
+    1-fold nesting applies the step to the map directly.
     """
 
-    __slots__ = ("fn", "table")
+    __slots__ = ("fn", "table", "levels")
 
     def __init__(self, fn: PointMap):
         self.fn = fn
         self.table: dict = {}
+        self.levels: dict = {}
 
     def __call__(self, x: RatFunc) -> RatFunc:
         got = self.table.get(x)
@@ -134,15 +137,17 @@ class _Memo:
         if not ys:
             return self(z)
         inner = ys[:-1]
+        if not inner:
+            return step(self, z, ys[0])
+        table = self.levels.setdefault((step, inner), {})
 
         def level(w: RatFunc) -> RatFunc:
-            key = (step, inner, w)
-            got = self.table.get(key)
+            got = table.get(w)
             if got is None:
-                got = self.table[key] = self.nest(step, inner, w)
+                got = table[w] = self.nest(step, inner, w)
             return got
 
-        return step(level if inner else self, z, ys[-1])
+        return step(level, z, ys[-1])
 
 
 def defect(D: PointMap, x: RatFunc, y: RatFunc) -> RatFunc:

@@ -222,9 +222,11 @@ def _clear_denominators(row: list[RatFunc]) -> list[MultiPoly]:
     if lcm.is_constant:
         polys = [v.num for v in row]
     else:
-        # a constant (monic) denominator is 1: scale by the lcm itself
+        # a constant (monic) denominator is 1: scale by the lcm itself; a
+        # denominator that is the lcm leaves the numerator as it is
         polys = [
-            product_sum(k, ((1, v.num, lcm if v.den.is_constant else lcm.exact_div(v.den)),))
+            v.num if v.den.terms == lcm.terms
+            else product_sum(k, ((1, v.num, lcm if v.den.is_constant else lcm.exact_div(v.den)),))
             for v in row
         ]
     # pairwise: math.lcm(*genexpr) over the coefficients grew the resident

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivcalc import exactnum
-from derivcalc.deriv import DiffOp
+from derivcalc.deriv import Derivation, DiffOp
 from derivcalc.exactnum import (
     GF2Poly,
     InexactDivisionError,
@@ -521,6 +522,37 @@ def test_ratfunc_product_matches_the_constructor_route():
         assert type(got) is RatFunc and got == want and str(got) == str(want), (f, g)
 
 
+def test_ratfunc_sum_divides_no_denominator_by_itself(monkeypatch):
+    """When one denominator divides the other, g = gcd(d1, d2) is that
+    denominator and its quotient by g is 1: ``RatFunc.__add__`` takes it
+    without an exact division.  Values and division counts are pinned, in
+    both orders."""
+    t1, t2 = RatFunc.variable(2, 0), RatFunc.variable(2, 1)
+    u = t1 * t2 + 1
+    cases = [
+        (1 / t1, 1 / (t1 * t2), "(t2 + 1)/(t1*t2)", 1),
+        (t2 / u, 1 / (u * (t1 + t2)), "(t1*t2 + t2^2 + 1)/(t1^2*t2 + t1*t2^2 + t1 + t2)", 1),
+        (1 / (t1**2 * t2), 1 / t2 + 1, "(t1^2*t2 + t1^2 + 1)/(t1^2*t2)", 1),
+        (1 / (t1 + 1), 1 / (t1 - 1), "(2*t1)/(t1^2 - 1)", 0),
+        (t2 / (t1 + 1) ** 2, 1 / ((t1 + 1) * t2), "(t2^2 + t1 + 1)/(t1^2*t2 + 2*t1*t2 + t2)", 2),
+    ]
+    divisions = []
+    divide = MultiPoly.exact_div
+
+    def counted_divide(self, other):
+        if sys._getframe(1).f_code.co_name == "__add__":
+            divisions.append((self, other))
+        return divide(self, other)
+
+    monkeypatch.setattr(MultiPoly, "exact_div", counted_divide)
+    for a, b, want, count in cases:
+        for x, y in ((a, b), (b, a)):
+            divisions.clear()
+            assert str(x + y) == want
+            assert len(divisions) == count, (x, y)
+            assert all(p != q for p, q in divisions)
+
+
 def test_ratfunc_product_is_one_product_sum(monkeypatch):
     """Each product of two nonzero RatFunc values builds its numerator in
     one ``product_sum`` call, and its denominator in a second only when
@@ -581,6 +613,33 @@ def test_no_module_imports_private_exactnum_names():
     assert offenders == []
 
 
+def test_term_map_difference_is_the_sum_with_the_negation():
+    # one term map for a - b: the class and the printed form of a + (-b)
+    k = 2
+    p, q = t(k, 0), t(k, 1)
+    r = RatFunc.variable(k, 0) / (RatFunc.variable(k, 1) + 1)
+    derivation = Derivation([r, 3])
+    operator = DiffOp(k, {(0, 2): r, (1, 0): 1, (0, 0): Fraction(1, 2)})
+    pairs = [
+        (p * q + 3, p * q - q.scale(Fraction(1, 2))),
+        (p * p, p * p),
+        (ExpPoly.linear([r, RatFunc.one(k)]), ExpPoly.const(k, r)),
+        (ExpPoly.linear([r, r]), ExpPoly.linear([r, RatFunc.zero(k)])),
+        (operator, derivation),
+        (derivation, operator),
+        (derivation, Derivation([r, 1])),
+    ]
+    for a, b in pairs:
+        want = a + (-b)
+        got = a - b
+        assert type(got) is type(want) and str(got) == str(want), (a, b)
+        assert got == want and (a - a).is_zero
+    with pytest.raises(TypeError):
+        p - ExpPoly.const(k, r)
+    with pytest.raises(exactnum.DimensionMismatchError):
+        p - t(3, 0)
+
+
 # ---------------------------------------------------------------------------
 # GF(2)[x]
 # ---------------------------------------------------------------------------
@@ -601,17 +660,23 @@ def test_gf2_equal_polynomials_hash_equal():
         ((x + GF2Poly.one()) ** 2, x**2 + GF2Poly.one()),
         (x * x * x, GF2Poly.monomial(3)),
         (x + x, GF2Poly.zero()),
+        # above 2^64, where CPython re-hashes the int mask
+        (x**64 * (x**64 + GF2Poly.one()), x**128 + x**64),
+        (x**200 + x, GF2Poly(1 << 200 | 2)),
+        # (1 + x)^(2^7 - 1) has every coefficient of degree below 2^7 odd
+        ((x + GF2Poly.one()) ** 127, GF2Poly((1 << 128) - 1)),
     ):
         assert a == b and a is not b
-        assert hash(a) == hash(b)
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
     assert len({GF2Poly(b) for b in range(8)} | {GF2Poly(5), GF2Poly(0)}) == 8
 
 
 def test_gf2_poly_and_its_bit_mask_stay_distinct_keys():
     # the two share a hash, but never compare equal
-    table = {GF2Poly(5): "poly", 5: "int"}
-    assert len(table) == 2
-    assert table[GF2Poly(5)] == "poly" and table[5] == "int"
+    for bits in (5, 1 << 200 | 5):
+        table = {GF2Poly(bits): "poly", bits: "int"}
+        assert len(table) == 2
+        assert table[GF2Poly(bits)] == "poly" and table[bits] == "int"
     assert GF2Poly(5) != 5 and 5 != GF2Poly(5)
 
 
@@ -643,3 +708,39 @@ def test_gf2_formal_derivative_is_the_termwise_derivative():
             if (bits >> i) & 1 and i % 2:
                 want ^= 1 << (i - 1)
         assert GF2Poly(bits).formal_derivative() == GF2Poly(want), bits
+
+
+def _schoolbook(a, b):
+    """The product over GF(2) of two coefficient tuples, lowest degree
+    first, with no trailing zero."""
+    out = [0] * (len(a) + len(b))
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] ^= ca & cb
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def test_gf2_product_is_the_schoolbook_product():
+    polys = [GF2Poly(bits) for bits in range(1 << 7)]
+    pairs = [(a, b) for a in polys for b in polys]
+    rng = random.Random(1729)
+    for _ in range(40):
+        dense, sparse = rng.getrandbits(200), 1 << rng.randrange(200) | 1 << rng.randrange(200)
+        pairs += [
+            (GF2Poly(rng.getrandbits(200)), GF2Poly(dense)),
+            (GF2Poly(dense), GF2Poly(sparse)),
+            (GF2Poly(sparse), GF2Poly(dense)),
+        ]
+    for a, b in pairs:
+        assert (a * b).coefficients == _schoolbook(a.coefficients, b.coefficients), (a, b)
+    # results are immutable, and the public constructor still validates
+    a, b = pairs[-1]
+    for value in (a * b, a + b, a.formal_derivative()):
+        assert type(value) is GF2Poly and type(value.bits) is int
+        with pytest.raises(AttributeError, match="GF2Poly is immutable"):
+            value.bits = 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        GF2Poly(-1)
+

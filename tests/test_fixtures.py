@@ -35,6 +35,17 @@ def test_char2_map_values():
     assert char2_D(x**3) == x  # binom(3,2) = 3 is odd
 
 
+def test_char2_map_is_the_binomial_definition():
+    # x^i -> binom(i, 2) x^(i-2) over GF(2), term by term, for every mask
+    # below 2^12
+    for bits in range(1 << 12):
+        want = 0
+        for i in range(2, bits.bit_length()):
+            if (bits >> i) & 1 and math.comb(i, 2) % 2:
+                want ^= 1 << (i - 2)
+        assert char2_D(GF2Poly(bits)) == GF2Poly(want), bits
+
+
 def test_char2_map_is_additive_up_to_degree_four():
     rep = char2_order_check(max_degree=4)
     assert rep.additive_ok

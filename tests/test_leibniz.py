@@ -7,13 +7,15 @@ from random import Random
 
 import pytest
 
-from derivcalc.exactnum import GF2Poly, RatFunc
+from derivcalc.exactnum import GF2Poly, MultiPoly, RatFunc
 from derivcalc.deriv import Derivation, DiffOp, OpWord, normalize
-from derivcalc.fixtures import char2_D
+from derivcalc.fixtures import PairPoly, char2_D, pair_d1
+from derivcalc.genpoly import _difference_step
 from derivcalc.leibniz import (
     CheckResult,
     MapTable,
     NotInO0Error,
+    _Memo,
     defect,
     nested_defect,
     order_exact,
@@ -419,3 +421,49 @@ def test_order_check_rejects_a_negative_bound_and_no_samples():
         order_upper_check(lambda x: x, -1, [t])
     with pytest.raises(ValueError, match="need at least one sample"):
         order_upper_check(lambda x: x, 1, [])
+
+
+def _plain_nest(f, step, ys, z):
+    """The nesting of ``_Memo.nest`` by plain recursion, with no table."""
+    if not ys:
+        return f(z)
+    return step(lambda w: _plain_nest(f, step, ys[:-1], w), z, ys[-1])
+
+
+def _nest_cases():
+    """(map, samples) over GF(2)[x], Q(t) and Q(t1, t2), and
+    Q[x] x Q[x], non-additive maps included."""
+    x, one = GF2Poly.x(), GF2Poly.one()
+    t1, t2 = RatFunc.variable(2, 0), RatFunc.variable(2, 1)
+    X = MultiPoly.variable(1, 0)
+    pairs = [PairPoly(X, X**2 + 1), PairPoly(X + 1, MultiPoly.const(1, 2)), PairPoly.unit()]
+    return [
+        pytest.param(char2_D, [x, x**2 + one, x**3 + x], id="char2_D"),
+        pytest.param(lambda p: p * p * p + x, [x, x + one, x**2], id="gf2 cube"),
+        pytest.param(D2, [t, t**2 + 1, 1 / (t + 1)], id="d2"),
+        pytest.param(lambda r: r * r, [t, t + 2, t**2 / (t - 3)], id="square"),
+        pytest.param(Derivation([t2, t1 * t1]), [t1, t2 + 1, t1 / t2], id="k=2 derivation"),
+        pytest.param(lambda r: r * t2 + 1, [t1 + t2, t1 * t2, 1 / (t1 + 1)], id="k=2 shift"),
+        pytest.param(pair_d1, pairs, id="pair_d1"),
+        pytest.param(lambda p: p * p - p, pairs, id="pair square"),
+    ]
+
+
+@pytest.mark.parametrize("f, samples", _nest_cases())
+def test_memo_nest_is_the_plain_recursion(f, samples):
+    # one memo per step and m, shared by every tuple, as the checks share
+    # it; each argument reaches the map once, and the memo asks for the
+    # arguments the plain recursion does
+    for step in (defect, _difference_step):
+        for m in range(4):
+            calls, plain_calls = [], []
+            memo = _Memo(lambda w: calls.append(w) or f(w))
+
+            def plain(w):
+                plain_calls.append(w)
+                return f(w)
+
+            for z in product(samples, repeat=m + 1):
+                want = _plain_nest(plain, step, z[1:], z[0])
+                assert memo.nest(step, z[1:], z[0]) == want, (step, z)
+            assert len(calls) == len(set(calls)) and set(calls) == set(plain_calls)
