@@ -6,10 +6,11 @@ Representation choices:
 * Rationals are ``fractions.Fraction`` (always reduced, denominator >= 1).
 * A monomial (multi-index) is a tuple of k nonnegative integer exponents.
   This module is the single owner of that format and of the term maps keyed
-  by it: ``zero_index``, ``unit_index`` and ``mono_set`` build and edit
-  multi-indices, ``mono_str`` prints one, ``add_terms`` accumulates
-  (index, coefficient) pairs into a term map and drops zero sums,
-  ``check_k`` and ``as_ratfunc`` guard and coerce operands.  ``TermMap`` is
+  by it: ``zero_index``, ``unit_index``, ``mono_set`` and ``monomials_up_to``
+  build, edit and enumerate multi-indices, ``mono_str`` prints one,
+  ``add_terms`` accumulates (index, coefficient) pairs into a term map and
+  drops zero sums, ``check_k`` and ``as_ratfunc`` guard and coerce
+  operands.  ``TermMap`` is
   the one owner of the term-map class code (validation, immutability,
   linear structure, equality, hashing and evaluation); ``MultiPoly`` and
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...], one exponent per variable
@@ -90,6 +92,11 @@ def mono_set(mono: Monomial, i: int, e: int) -> Monomial:
     m = list(mono)
     m[i] = e
     return tuple(m)
+
+
+def monomials_up_to(k: int, degree: int) -> Iterator[Monomial]:
+    """The multi-indices of total degree <= `degree`, in lex order."""
+    return (m for m in product(range(degree + 1), repeat=k) if sum(m) <= degree)
 
 
 def mono_str(mono: Monomial, letter: str) -> str:
@@ -836,9 +843,9 @@ class RatFunc:
         else:
             if not den.is_constant:
                 g = poly_gcd(num, den)
-                if not g.is_constant:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                if not g.is_constant:  # a side that is g itself leaves the quotient 1
+                    num = MultiPoly.const(g.k, 1) if g.terms == num.terms else num.exact_div(g)
+                    den = MultiPoly.const(g.k, 1) if g.terms == den.terms else den.exact_div(g)
             num, den = _monic(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

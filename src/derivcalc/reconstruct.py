@@ -16,12 +16,13 @@ with degree <= n.
 
 Fitting: a degree-bounded operator agreeing with a finite table is a linear
 system over the fraction field in the unknown coefficients.  Each row is
-scaled to polynomials over Z[t], and Bareiss's fraction-free elimination
-(Math. Comp. 22, 1968) solves it, eliminating only the rows that become
+scaled to polynomials over Z[t], and ``_solve`` runs Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968), eliminating only the rows that become
 pivots; every other row is then proved by substituting the solution, and
 the first one that fails is the first inconsistent row.  The elimination
 divides exactly and takes no gcd, and only building each unknown as a
-fraction takes one.  Free variables are set to zero.
+fraction takes one.  Free variables are set to zero.  ``_solve``'s k = 0
+instance solves over Q, as on the cleared rows evaluated at an integer point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from itertools import islice, product
 from typing import Mapping
 
 from .exactnum import (
-    MultiPoly, Monomial, RatFunc, grlex_key, mono_set, poly_gcd, product_sum, zero_index,
+    MultiPoly, Monomial, RatFunc, grlex_key, mono_set, monomials_up_to, poly_gcd, product_sum,
+    zero_index,
 )
 from .deriv import DiffOp, _materialize_partial
 from .leibniz import MapTable
@@ -242,10 +244,10 @@ def _clear_denominators(row: list[RatFunc]) -> list[MultiPoly]:
 
 
 def _bring_up_to_date(k: int, row: list[MultiPoly], pivots: list, done: int) -> None:
-    """Apply Bareiss steps done..len(pivots)-1 (see ``fit_operator``) in
-    place to a row that has had the first `done`.  Step 0 divides by the
-    empty pivot 1, a row with a zero factor is still scaled by p / p_prev,
-    and entries at columns <= the step's column are never read again."""
+    """Apply Bareiss steps done..len(pivots)-1 (see ``_solve``) in place to
+    a row that has had the first `done`.  Step 0 divides by the empty pivot
+    1, a row with a zero factor is still scaled by p / p_prev, and entries
+    at columns <= the step's column are never read again."""
     prev = pivots[done - 1][1] if done else None
     for s in range(done, len(pivots)):
         c, p, prow = pivots[s]
@@ -256,57 +258,49 @@ def _bring_up_to_date(k: int, row: list[MultiPoly], pivots: list, done: int) -> 
         prev = p
 
 
-def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
-    """Find a degree <= n operator agreeing with the table, or report that
-    none exists.
-
-    Unknowns are the coefficients c_a for |a| <= n (the identity index is
-    excluded when require_o0 is set); each table pair (x, y) contributes the
-    linear equation sum_a c_a d^a(x) = y over the fraction field.  Each row,
-    right-hand side included, is scaled by the lcm of its denominators to a
-    primitive row over Z[t], and Bareiss's one-step fraction-free
-    elimination (Math. Comp. 22, 1968) runs on the rows: with pivot p and
-    the previous pivot p_prev, an entry becomes (p * a_ij - a_ic * a_rj) /
-    p_prev, an exact division (Sylvester's identity), so no gcd is taken
-    while eliminating.
-
-    The elimination is lazy.  A row after s steps depends only on the
-    first s pivot rows, so each row keeps its own step count.  The pivot of
-    a column is the remaining row of lowest table index with a nonzero
-    entry there: the search brings the remaining rows up to date in table
-    order and stops at the first one nonzero in the column, so rows after
-    it are not touched.  Columns with no pivot are free (their coefficients
-    are zero), and their search brings every remaining row up to date.
-
-    Back-substitution stays fraction-free too: with det the last pivot,
-    N_c = (det * rhs_r - sum_c2 a_r,c2 * N_c2) / a_r,c, and each unknown is
-    built once as N_c / det, one canonicalisation (one gcd) per unknown.
-    Every row that never became a pivot is then proved by substitution on
-    its cleared row, in table order: the residual sum_c a_rc * N_c - det *
-    b_r is a nonzero multiple of the row's fully reduced right-hand side
-    (each Bareiss multiplier is a pivot), so the first nonzero residual
-    names the same `inconsistent_row` as eliminating every row would.
-    Each entry, numerator N_c and residual is one ``product_sum``.
-    """
-    if n < 0:
-        raise ValueError("degree bound must be nonnegative")
+def _fit_rows(table: MapTable, n: int, require_o0: bool) -> tuple[list[Monomial], list]:
+    """The unknowns' indices a, |a| <= n in graded-lex order (the identity
+    index left out under `require_o0`), and one row per table pair (x, y),
+    [d^a(x) for a in indices] + [y] scaled to Z[t], in table order."""
     k = table.k
-    indices = [
-        alpha
-        for alpha in product(range(n + 1), repeat=k)
-        if sum(alpha) <= n and not (require_o0 and sum(alpha) == 0)
-    ]
+    indices = [a for a in monomials_up_to(k, n) if sum(a) or not require_o0]
     indices.sort(key=grlex_key)
-    ncols = len(indices)
-    # each row is [d^a(x) for a in indices] + [y] scaled to Z[t], in table order
-    rows: list[list[MultiPoly]] = []
+    rows = []
     for x, y in table:
         # evaluate all d^a(x) in one shared derivative chain
         cache = {zero_index(k): x}
-        row = [_materialize_partial(cache, alpha) for alpha in indices]
-        row.append(y)
-        rows.append(_clear_denominators(row))
-    # working copies and their Bareiss step counts; remaining in table order
+        rows.append(_clear_denominators([*(_materialize_partial(cache, a) for a in indices), y]))
+    return indices, rows
+
+
+def _solve(k: int, rows: list[list[MultiPoly]], ncols: int) -> tuple[dict, MultiPoly, int | None]:
+    """Solve the rows [a_r0 .. a_r,ncols-1, b_r] over Z[t1..tk] by Bareiss's
+    one-step fraction-free elimination (Math. Comp. 22, 1968): with pivot p
+    and the previous pivot p_prev, an entry becomes (p * a_ij - a_ic *
+    a_rj) / p_prev, an exact division (Sylvester's identity), so no gcd is
+    taken.  With k = 0 and integer rows, such as rows evaluated at an
+    integer point, every entry stays an int: a solve over Q.
+
+    The elimination is lazy.  A row after s steps depends only on the
+    first s pivot rows, so each row keeps its own step count.  The pivot of
+    a column is the remaining row of lowest index with a nonzero entry
+    there: the search brings the remaining rows up to date in order and
+    stops at the first one nonzero in the column, so rows after it are not
+    touched.  Columns with no pivot are free, and their search brings every
+    remaining row up to date.
+
+    Back-substitution stays fraction-free too: with det the last pivot (1
+    when there is none), N_c = (det * b_r - sum_c2 a_r,c2 * N_c2) / a_r,c,
+    and the solution is c_c = N_c / det.  Every row that never became a
+    pivot is then proved by substitution, in order: the residual sum_c
+    a_rc * N_c - det * b_r is a nonzero multiple of the row's fully reduced
+    right-hand side (each Bareiss multiplier is a pivot), so the first
+    nonzero residual is the first inconsistent row, as full elimination
+    finds.  Each entry, numerator N_c and residual is one ``product_sum``.
+
+    Returns (numer, det, inconsistent_row or None): numer maps every pivot
+    column to N_c even when a row fails, so the rank is len(numer), and a
+    free column is absent (its value is 0)."""
     work = [list(row) for row in rows]
     steps = [0] * len(rows)
     remaining = list(range(len(rows)))
@@ -319,20 +313,35 @@ def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
                 remaining.remove(r)
                 pivots.append((col, work[r][col], work[r]))
                 break
-    # back-substitute fraction-free, free variables zero
     det = pivots[-1][1] if pivots else MultiPoly.const(k, 1)
     numer: dict[int, MultiPoly] = {}
     for col, p, prow in reversed(pivots):
         known = [(-1, prow[c2], n2) for c2, n2 in numer.items()]
         numer[col] = product_sum(k, [(1, det, prow[ncols]), *known]).exact_div(p)
-    # prove every surplus row by substitution
     for r in remaining:
-        row = rows[r]
-        terms = [(1, row[c], v) for c, v in numer.items()]
-        if product_sum(k, [*terms, (-1, det, row[ncols])]):
-            return FitResult(None, inconsistent_row=r)
-    op = DiffOp(k, {indices[c]: RatFunc(v, det) for c, v in numer.items()})
-    return FitResult(op, solution_dim=ncols - len(pivots))
+        terms = [(1, rows[r][c], v) for c, v in numer.items()]
+        if product_sum(k, [*terms, (-1, det, rows[r][ncols])]):
+            return numer, det, r
+    return numer, det, None
+
+
+def fit_operator(table: MapTable, n: int, require_o0: bool = True) -> FitResult:
+    """Find a degree <= n operator agreeing with the table, or report that
+    none exists.
+
+    Unknowns are the coefficients c_a for |a| <= n (the identity index is
+    excluded when require_o0 is set); each table pair (x, y) contributes the
+    linear equation sum_a c_a d^a(x) = y over the fraction field, scaled to a
+    primitive row over Z[t].  ``_solve`` solves the rows, free coefficients
+    are zero, and each unknown is built once as N_c / det (one gcd)."""
+    if n < 0:
+        raise ValueError("degree bound must be nonnegative")
+    indices, rows = _fit_rows(table, n, require_o0)
+    numer, det, bad = _solve(table.k, rows, len(indices))
+    if bad is not None:
+        return FitResult(None, inconsistent_row=bad)
+    op = DiffOp(table.k, {indices[c]: RatFunc(v, det) for c, v in numer.items()})
+    return FitResult(op, solution_dim=len(indices) - len(numer))
 
 
 def check_recurrence(spec: RecurrenceSpec) -> RecurrenceResult:

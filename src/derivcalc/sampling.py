@@ -7,20 +7,12 @@ are reproducible from a single integer seed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from random import Random
-from typing import Iterator
 
-from .exactnum import Monomial, MultiPoly, RatFunc
+from .exactnum import MultiPoly, RatFunc, monomials_up_to
 from .deriv import Derivation, DiffOp
 
 DEFAULT_SEED = 1729
-
-
-def monomials_up_to(k: int, degree: int) -> Iterator[Monomial]:
-    for mono in product(range(degree + 1), repeat=k):
-        if sum(mono) <= degree:
-            yield mono
 
 
 def random_multipoly(

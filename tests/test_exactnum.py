@@ -522,6 +522,36 @@ def test_ratfunc_product_matches_the_constructor_route():
         assert type(got) is RatFunc and got == want and str(got) == str(want), (f, g)
 
 
+def test_canonical_form_divides_no_side_by_itself(monkeypatch):
+    """When g = gcd(num, den) is one of the two sides, that side's quotient
+    by g is 1: ``RatFunc.__init__`` takes it without an exact division.
+    Values and division counts are pinned."""
+    t1, t2 = t(2, 0), t(2, 1)
+    cases = [
+        (t1 * t2 + t2, t1 + 1, "t2", 1),
+        (t1 + 1, (t1 + 1) * (t2 + 2), "(1)/(t2 + 2)", 1),
+        (t1 * t1 + t1, t1.scale(3), "1/3*t1 + 1/3", 2),
+        ((t1 + 1) * (t2 - 1), (t1 + 1) * (t2 + 1), "(t2 - 1)/(t2 + 1)", 2),
+        (t1.scale(2) + 2, (t1 * t1 - 1).scale(3), "(2/3)/(t1 - 1)", 2),
+        (t1 + t2, t1 + t2, "1", 0),
+        (t1 + 1, t2, "(t1 + 1)/(t2)", 0),
+    ]
+    divisions = []
+    divide = MultiPoly.exact_div
+
+    def counted_divide(self, other):
+        if sys._getframe(1).f_code.co_name == "__init__":
+            divisions.append((self, other))
+        return divide(self, other)
+
+    monkeypatch.setattr(MultiPoly, "exact_div", counted_divide)
+    for num, den, want, count in cases:
+        divisions.clear()
+        assert str(RatFunc(num, den)) == want
+        assert len(divisions) == count, (num, den)
+        assert all(p != q for p, q in divisions)
+
+
 def test_ratfunc_sum_divides_no_denominator_by_itself(monkeypatch):
     """When one denominator divides the other, g = gcd(d1, d2) is that
     denominator and its quotient by g is 1: ``RatFunc.__add__`` takes it

@@ -512,9 +512,9 @@ def test_fit_eliminates_only_the_pivot_rows(monkeypatch):
     assert res.operator == E and res.solution_dim == 0
     assert calls.count(("product_sum", "_bring_up_to_date")) == 5 + 9 + 12 + 14
     assert calls.count(("exact_div", "_bring_up_to_date")) == 20
-    assert calls.count(("exact_div", "fit_operator")) == 5
+    assert calls.count(("exact_div", "_solve")) == 5
     # 5 back-substitution numerators and one residual per surplus row
-    assert calls.count(("product_sum", "fit_operator")) == 5 + 5
+    assert calls.count(("product_sum", "_solve")) == 5 + 5
 
 
 def test_clearing_denominators_divides_by_no_constant(monkeypatch):
@@ -550,6 +550,70 @@ def test_clearing_denominators_divides_by_no_constant(monkeypatch):
     res = fit_operator(table, 2, require_o0=True)
     assert res.operator == E
     assert divisors == []
+
+
+def _solve_at(rows, ncols, point):
+    """``_solve`` over k = 0 on the cleared rows evaluated at an integer point."""
+    at = [[exactnum.MultiPoly.const(0, e(point)) for e in row] for row in rows]
+    return reconstruct._solve(0, at, ncols)
+
+
+def test_point_solve_keeps_the_pivot_columns_and_the_solution():
+    """Evaluation at a point is a ring homomorphism Z[t] -> Z, so a minor
+    nonzero at the point is nonzero over Z[t]: the point rank never exceeds
+    the Z[t] rank.  At two seeded points every table of both corpora keeps
+    its pivot columns, every entry stays an int, and where the table is
+    consistent and det(pt) != 0 the point solution is N_c(pt) / det(pt)."""
+    rng = Random(2311)
+    points = [[rng.randint(2, 200) for _ in range(3)] for _ in range(2)]
+    corpus = [case[:3] for case in _fit_corpus()] + [case[:3] for case in _surplus_corpus()]
+    compared = 0
+    for table, n, require_o0 in corpus:
+        indices, rows = reconstruct._fit_rows(table, n, require_o0)
+        numer, det, bad = reconstruct._solve(table.k, rows, len(indices))
+        for point in points:
+            point = point[: table.k]
+            pt_numer, pt_det, pt_bad = _solve_at(rows, len(indices), point)
+            assert len(pt_numer) <= len(numer)
+            assert pt_numer.keys() == numer.keys(), (table, n, require_o0, point)
+            assert all(
+                type(c) is int for v in (*pt_numer.values(), pt_det) for c in v.terms.values()
+            )
+            if bad is None and det(point):
+                compared += 1
+                assert pt_bad is None
+                for c, v in numer.items():
+                    got = pt_numer[c].constant_value() / pt_det.constant_value()
+                    assert got == v(point) / det(point), (table, n, require_o0, point)
+    assert compared > len(corpus)
+
+
+def test_point_rank_below_the_generic_rank_certifies_nothing():
+    """An unlucky point: k = 1, n = 1 with the identity column, the table of
+    d on t and t^2.  The rows [t, 1 | 1] and [t^2, 2t | 2t] have the minor
+    t^2, which vanishes at t = 0, so the point rank is 1 against 2 over Z[t]:
+    only a full point rank proves anything."""
+    table = MapTable.tabulate(Derivation.coordinate(1, 0), [t, t**2], 1)
+    indices, rows = reconstruct._fit_rows(table, 1, require_o0=False)
+    numer, _, bad = reconstruct._solve(1, rows, len(indices))
+    pt_numer, _, pt_bad = _solve_at(rows, len(indices), [0])
+    assert bad is None and pt_bad is None
+    assert len(numer) == 2 and list(pt_numer) == [1]
+
+
+def test_fit_over_no_variables_is_a_linear_solve_over_q():
+    """Over k = 0 the only index is the identity: {2: 6, 5: 15} fits the
+    operator 3, {2: 6, 5: 14} fails at row 1, and with the identity column
+    left out every nonzero table fails at row 0."""
+    def table(*pairs):
+        return MapTable.from_pairs([(RatFunc.const(0, x), RatFunc.const(0, y)) for x, y in pairs], 0)
+
+    fits, conflicts = table((2, 6), (5, 15)), table((2, 6), (5, 14))
+    res = fit_operator(fits, 1, require_o0=False)
+    assert str(res.operator) == "(3)" and res.solution_dim == 0
+    assert fit_operator(conflicts, 1, require_o0=False).inconsistent_row == 1
+    for tab in (fits, conflicts):
+        assert fit_operator(tab, 1).inconsistent_row == 0
 
 
 def _subset_products(zs):
