@@ -786,13 +786,27 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.terms == b.terms:
         return a.primitive()
     if a.is_monomial or b.is_monomial:
-        # the gcd is the monomial of the least exponent of each variable
-        keys = [*a.terms, *b.terms]
-        shared = 0
-        for v in range(a.k):
-            s = _field(a.k, v)
-            shared += min((m >> s) & _FIELD for m in keys) * _unit(a.k, v)
-        return MultiPoly._raw(a.k, {shared: 1})
+        # the gcd is the monomial of the least exponent of each variable:
+        # one pass of fieldwise minima over the exponent fields, from the
+        # monomial's own, that stops once every minimum is 0
+        if b.is_monomial:
+            a, b = b, a
+        k = a.k
+        body = (1 << k * _W) - 1
+        guard = _guard(k)
+        low = max(a.terms) & body
+        for m in b.terms:
+            m &= body
+            # the guard bit of a field survives (low | guard) - m exactly
+            # where low >= m there; spread it to the whole field
+            ge = (((low | guard) - m) & guard) >> (_W - 1)
+            low ^= (low ^ m) & (ge * _FIELD)
+            if not low:
+                return MultiPoly._raw(k, {0: 1})
+        # the total degree is the top field of low * (1 + 2^W + ...): the
+        # sum of its exponents stays below the limit, so no field carries
+        deg = (low * (guard >> (_W - 1)) >> (k - 1) * _W) & _FIELD
+        return MultiPoly._raw(k, {deg << k * _W | low: 1})
     # drop rational content up front: the result is primitive either way and
     # everything downstream then runs on integer coefficients
     a = a.primitive()
@@ -1057,18 +1071,42 @@ def as_ratfunc(k: int, value) -> RatFunc:
     return RatFunc.const(k, value)
 
 
+def monomial_lcm_sum(k: int, items: list) -> tuple:
+    """(N, t^A) with N / t^A the sum of c * p / t^a over (c, a, p) items, a
+    an exponent tuple and p a MultiPoly over k variables.  The lcm of the
+    monomials is free: A is the componentwise maximum of the a, and N sums
+    each c * p shifted by t^(A-a) in one ``product_sum`` (Geddes, Czapor &
+    Labahn, *Algorithms for Computer Algebra*, ch. 2)."""
+    top = _pack(k, tuple(map(max, zip(*(a for _, a, _ in items)))))
+    num = product_sum(k, ((c, MultiPoly._raw(k, {top - _pack(k, a): 1}), p) for c, a, p in items))
+    return num, MultiPoly._raw(k, {top: 1})
+
+
 def ratfunc_product_sum(k: int, items: Iterable) -> RatFunc:
     """The RatFunc sum of c * f * g over (c, f, g) items, c rational and f, g
     RatFunc over k variables.  Products whose denominators pair alike share
     one ``product_sum`` numerator: over 1 and 1 it is the sum itself, with
     no gcd, and over (d1, d2) it takes one canonical form over d1 * d2, or
     over the other denominator when one of them is 1.
-    RatFunc addition runs only between such groups."""
+
+    When two or more groups have monomial denominators (1 included), their
+    numerators go over the lcm of the monomial products in one
+    ``monomial_lcm_sum`` and take one canonical form.  RatFunc addition runs
+    only against the groups with other denominators; a single group keeps
+    the path above."""
     groups: dict = {}
     for c, f, g in items:
         if f.num.terms and g.num.terms:
             groups.setdefault((f.den, g.den), []).append((c, f.num, g.num))
     total = None
+    if len(groups) > 1:
+        merged = [key for key in groups if key[0].is_monomial and key[1].is_monomial]
+        if len(merged) > 1:
+            summed = []
+            for d1, d2 in merged:
+                m = _unpack(k, max(d1.terms) + max(d2.terms))
+                summed.append((1, m, product_sum(k, groups.pop((d1, d2)))))
+            total = RatFunc(*monomial_lcm_sum(k, summed))
     for (d1, d2), group in groups.items():
         num = product_sum(k, group)
         den = d2 if d1.is_constant else d1 if d2.is_constant else d1 * d2

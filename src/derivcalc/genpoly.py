@@ -27,18 +27,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .exactnum import (
     DimensionMismatchError,
     Monomial,
-    MultiPoly,
     PackedKeys,
     RatFunc,
     RatFuncTerms,
+    check_k,
     mono_str,
-    product_sum,
+    monomial_lcm_sum,
     sparse_product,
     unit_index,
     zero_index,
@@ -122,11 +122,12 @@ def gp_degree_check(
 
     summed over ordered tuples (b_1..b_m) of nonzero multi-indices with
     s = b_1+...+b_m and |s| <= deg E (see ``deriv.leibniz_sum``).  With
-    m > deg E no tuple exists, so each difference is zero without
-    arithmetic.  Any other map is a black box and takes ``_Memo.nest`` with
-    the difference step, the nesting that ``nested_defect`` uses, with one
-    memo for the whole check.  Both routes visit tuples and points in the
-    same order.
+    m > deg E no tuple exists, so every difference is zero: at n >= deg E
+    the check passes, after the argument checks, with the count above
+    (one empty multiset at n = -1) and builds no case.  Any other map is a
+    black box and takes ``_Memo.nest`` with the difference step, the
+    nesting that ``nested_defect`` uses, with one memo for the whole check.
+    Both routes visit tuples and points in the same order.
     """
     if n < -1:
         raise ValueError("degree bound must be at least -1")
@@ -140,8 +141,15 @@ def gp_degree_check(
     for x in points:
         if x.is_zero:
             raise ValueError("points must be nonzero")
+    passed = f"all {n + 1}-fold differences vanish on given data"
     if isinstance(f, _OverIdentity):
         E = f.op
+        if n >= E.degree:
+            # m = n + 1 > deg E: every difference is zero without a case
+            for z in (*points, *increments) if n >= 0 else points:
+                check_k(E.k, z.k)
+            multisets = comb(len(increments) + n, n + 1) if n >= 0 else 1
+            return CheckResult(True, passed, checked=multisets * len(points))
 
         def difference(gs, x):
             v = leibniz_sum(E, x, gs, E.degree)
@@ -157,7 +165,7 @@ def gp_degree_check(
         ((gs, x) for gs in combinations_with_replacement(increments, n + 1) for x in points),
         lambda case: difference(*case),
         f"{n + 1}-fold difference nonzero",
-        f"all {n + 1}-fold differences vanish on given data",
+        passed,
     )
 
 
@@ -209,9 +217,9 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
     integer (``stirling_row``).  The terms that feed i^e are grouped by the
     denominator q of c_a; a group whose indices have componentwise maximum
     A adds up to N / (q * t^A) with N = sum of s(a, e) * t^(A-a) * num(c_a),
-    which ``product_sum`` builds in one term map, so each group takes one
-    canonical form (one gcd, with a monomial when q = 1).  RatFunc addition
-    runs only between groups of different denominators.
+    which ``monomial_lcm_sum`` builds in one term map, so each group takes
+    one canonical form (one gcd, with a monomial when q = 1).  RatFunc
+    addition runs only between groups of different denominators.
     """
     k = E.k
     # exponent monomial e -> denominator q -> [(a, s(a, e), num(c_a))]
@@ -221,20 +229,13 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
         for picks in product(*rows):
             e = tuple(e for e, _ in picks)
             by_den = groups.setdefault(e, {})
-            by_den.setdefault(c.den, []).append((alpha, prod(s for _, s in picks), c.num))
+            by_den.setdefault(c.den, []).append((prod(s for _, s in picks), alpha, c.num))
     out = {}
     for e, by_den in groups.items():
         total = None
         for den, items in by_den.items():
-            top = tuple(map(max, zip(*(a for a, _, _ in items))))
-            num = product_sum(
-                k,
-                (
-                    (s, MultiPoly.monomial(k, tuple(x - y for x, y in zip(top, a))), p)
-                    for a, s, p in items
-                ),
-            )
-            part = RatFunc(num, den * MultiPoly.monomial(k, top))
+            num, lcm = monomial_lcm_sum(k, items)
+            part = RatFunc(num, den * lcm)
             total = part if total is None else total + part
         if total:
             out[e] = total

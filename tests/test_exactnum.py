@@ -620,6 +620,115 @@ def test_ratfunc_product_is_one_product_sum(monkeypatch):
     assert polynomial > 0 and one_sided > 0
 
 
+def _summed_items_corpus():
+    """Seeded (k, items) lists for ``ratfunc_product_sum`` over k = 1..3:
+    operands whose denominators are 1, monomials, small polynomials or a mix,
+    int and Fraction c, and lists made to have two groups with the same
+    monomial product t^m and groups that cancel to zero."""
+    rng = random.Random(1623)
+    for k in (1, 2, 3):
+        t1 = RatFunc.variable(k, 0)
+        for style in ("monomial", "mixed", "poly"):
+            pool = [
+                random_ratfunc(rng, k, max_degree=2, den_style=s)
+                for s in (style, style, "monomial", "one")
+            ]
+            pool.append(RatFunc.const(k, Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+            for _ in range(12):
+                yield k, [
+                    (rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(2, 4)))),
+                     rng.choice(pool), rng.choice(pool))
+                    for _ in range(rng.randint(0, 6))
+                ]
+        a, b = (random_ratfunc(rng, k, den_style="one") for _ in range(2))
+        # (t1, 1) and (1, t1) pair alike as t1
+        yield k, [(1, a / t1, b), (Fraction(1, 2), b, a / t1), (3, a, b)]
+        # (t1, t1) and (t1^2, 1) share t1^2 and cancel, and with them (1, 1)
+        yield k, [(2, a / t1, b / t1), (-2, a * b / t1**2, RatFunc.one(k))]
+        yield k, [(1, a / t1, b / t1), (-1, a * b / t1**2, RatFunc.one(k)), (-1, a, b), (1, b, a)]
+        # halves that add up to an integral coefficient
+        yield k, [(Fraction(1, 2), a / t1, RatFunc.one(k)), (Fraction(1, 2), a, 1 / t1), (1, b, b / t1**2)]
+
+
+def test_ratfunc_product_sum_is_the_sum_of_its_products():
+    """Groups over monomial denominators share one numerator over the lcm
+    t^L; the reference is one canonical form per item and ``+``."""
+    merged = zero = beside = 0
+    for k, items in _summed_items_corpus():
+        want = RatFunc.zero(k)
+        for c, f, g in items:
+            want = want + RatFunc(f.num * g.num * c, f.den * g.den)
+        got = ratfunc_product_sum(k, items)
+        assert got == want and str(got) == str(want), items
+        pairs = {(f.den, g.den) for _, f, g in items if f and g}
+        over_monomials = [d1.is_monomial and d2.is_monomial for d1, d2 in pairs]
+        if sum(over_monomials) > 1:
+            merged += 1
+            zero += got.is_zero
+            beside += not all(over_monomials)
+        if all(over_monomials):  # the sum is the merged numerator alone
+            for p in (got.num, got.den):
+                assert all(type(v) is int or v.denominator > 1 for v in p.terms.values())
+    assert merged > 60 and zero >= 6 and beside >= 5
+
+
+def test_apply_diffop_over_monomial_denominators_takes_one_canonical_form(monkeypatch):
+    """Three coefficients over t1, t1*t2 and t1^2*t2 applied to a polynomial
+    make three groups over monomials: one numerator over t1^2*t2, one gcd
+    with a monomial and no RatFunc addition (a canonical form per group and
+    two additions took 7 gcds)."""
+    calls = {"gcd": 0, "add": 0}
+    gcd, add = exactnum.poly_gcd, RatFunc.__add__
+
+    def counted_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd(a, b)
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    t1, t2 = RatFunc.variable(2, 0), RatFunc.variable(2, 1)
+    E = DiffOp(2, {(1, 0): t2 / t1, (0, 1): (t1 + 1) / (t1 * t2), (1, 1): 1 / (t1**2 * t2)})
+    f = RatFunc.from_poly(MultiPoly(2, {(2, 1): 1, (1, 1): 1, (0, 1): 3, (1, 0): 1, (0, 0): 1}))
+    d1, d2 = f.partial(0), f.partial(1)
+    want = (t2 / t1) * d1 + (t1 + 1) / (t1 * t2) * d2 + d1.partial(1) / (t1**2 * t2)
+    monkeypatch.setattr(exactnum, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(RatFunc, "__add__", counted_add)
+    got = E(f)
+    assert calls == {"gcd": 1, "add": 0}
+    assert got == want
+    assert str(got) == "(2*t1^2*t2^3 + t1^4 + t1*t2^3 + 2*t1^3 + t1*t2^2 + 4*t1^2 + 5*t1 + 1)/(t1^2*t2)"
+
+
+def _monomial_gcd_corpus():
+    """Seeded (a, b) pairs with a monomial on one side or both, over
+    k = 1..3: a shared monomial factor, and a side whose first key is 1 so
+    that every minimum is 0 at once."""
+    rng = random.Random(1624)
+    for k in (1, 2, 3):
+        for _ in range(40):
+            p = random_ratfunc(rng, k, max_degree=3, den_style="one").num
+            mono = MultiPoly.monomial(k, [rng.randint(0, 3) for _ in range(k)], rng.randint(1, 4))
+            shared = MultiPoly.monomial(k, [rng.randint(0, 2) for _ in range(k)])
+            first_one = MultiPoly(k, {(0,) * k: 1, **dict(p.sorted_terms())})
+            for q in (p * shared, first_one, mono * shared.scale(Fraction(1, 3))):
+                yield mono * shared, q
+                yield q, mono * shared
+
+
+def test_monomial_gcd_is_the_least_exponent_of_each_variable():
+    seen = set()
+    for a, b in _monomial_gcd_corpus():
+        if a.is_zero or b.is_zero or a.is_constant or b.is_constant:
+            continue
+        exps = [m for p in (a, b) for m, _ in p.sorted_terms()]
+        low = tuple(min(e[v] for e in exps) for v in range(a.k))
+        assert poly_gcd(a, b) == MultiPoly.monomial(a.k, low), (a, b)
+        seen.add((a.k, any(low)))
+    assert seen == {(k, z) for k in (1, 2, 3) for z in (False, True)}
+
+
 def test_no_module_imports_private_exactnum_names():
     # the monomial format and the kernels on it stay private to exactnum
     offenders = []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import derivcalc
-from derivcalc import exactnum
+from derivcalc import exactnum, genpoly
 from derivcalc.exactnum import MultiPoly, RatFunc, add_terms
 from derivcalc.deriv import Derivation, DiffOp, OpWord, compose, normalize
 from derivcalc.genpoly import (
@@ -143,16 +143,52 @@ def test_passing_degree_check_counts_tuple_point_pairs(n):
 
 
 def test_degree_check_rejects_bad_bounds_and_data():
+    # a black box, and operators whose degree (-1 and 0) n = 0 reaches
     zero = RatFunc.zero(1)
-    for n, increments, points, message in (
-        (-2, [t], [t], "degree bound must be at least -1"),
-        (0, [], [t], "need at least one increment"),
-        (0, [t], [], "need at least one point"),
-        (0, [t, zero], [t], "increments must be nonzero"),
-        (0, [t], [t, zero], "points must be nonzero"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            gp_degree_check(lambda x: x, n, increments, points)
+    for f in (lambda x: x, over_identity(DiffOp.zero(1)), over_identity(DiffOp.identity(1, 2))):
+        for n, increments, points, message in (
+            (-2, [t], [t], "degree bound must be at least -1"),
+            (0, [], [t], "need at least one increment"),
+            (0, [t], [], "need at least one point"),
+            (0, [t, zero], [t], "increments must be nonzero"),
+            (0, [t], [t, zero], "points must be nonzero"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                gp_degree_check(f, n, increments, points)
+    # data over another variable count is refused as the scan refuses it
+    s = RatFunc.variable(2, 0)
+    for f in (over_identity(DiffOp.zero(1)), over_identity(Derivation.coordinate(1, 0))):
+        for increments, points in (([t], [s]), ([s], [t]), ([t, s], [t])):
+            with pytest.raises(exactnum.DimensionMismatchError):
+                gp_degree_check(f, 1, increments, points)
+
+
+def test_degree_check_at_or_above_the_operator_degree_builds_no_case(monkeypatch):
+    # n + 1 > deg E differences are zero with no tuple to sum: the passed
+    # result comes with the closed-form count and no leibniz_sum call,
+    # equal to what the black-box recursion finds
+    rng = Random(83)
+    cases = []
+    for k in (1, 2):
+        for d in (0, 1, 2):
+            E = random_diffop(rng, k, d, in_o0=bool(d), exact_degree=True, den_style="monomial")
+            incs = [random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(3)]
+            points = [random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(2)]
+            for n in (d, d + 1):
+                cases.append((E, n, incs, points, gp_degree_check(lambda z, E=E: E(z) / z, n, incs, points)))
+    cases.append((DiffOp.zero(1), -1, [], [t, t + 1], gp_degree_check(lambda z: z - z, -1, [], [t, t + 1])))
+    calls = []
+    closed = genpoly.leibniz_sum
+    monkeypatch.setattr(genpoly, "leibniz_sum", lambda *args, **kw: calls.append(args) or closed(*args, **kw))
+    for E, n, incs, points, want in cases:
+        got = gp_degree_check(over_identity(E), n, incs, points)
+        multisets = math.comb(len(incs) + n, n + 1) if n >= 0 else 1
+        assert got == want and got.ok and got.checked == multisets * len(points), (E, n)
+    assert calls == []
+    # below the degree the scan runs
+    E = cases[-2][0]
+    gp_degree_check(over_identity(E), E.degree - 1, cases[-2][2], cases[-2][3])
+    assert calls
 
 
 def test_degree_check_level_minus_one_is_zero_test():
