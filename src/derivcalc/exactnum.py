@@ -8,31 +8,31 @@ Representation choices:
   This module is the single owner of that format and of the term maps keyed
   by it: ``zero_index``, ``unit_index``, ``mono_set`` and ``monomials_up_to``
   build, edit and enumerate multi-indices, ``mono_str`` prints one,
-  ``add_terms`` accumulates (index, coefficient) pairs into a term map and
-  drops zero sums, ``check_k`` and ``as_ratfunc`` guard and coerce
+  ``add_terms`` accumulates (index, coefficient) pairs into a term map,
+  drops zero sums and keeps integral ones int, ``check_k`` and ``as_ratfunc`` guard and coerce
   operands.  ``TermMap`` is
   the one owner of the term-map class code (validation, immutability,
   linear structure, equality, hashing and evaluation); ``MultiPoly`` and
   ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
   Q(t1..tk)) subclass it.  ``product_sum``, the one accumulate loop of
-  products, builds a sum of products in one term map; ``sparse_product``
-  (the ``*`` of ``MultiPoly`` and ``ExpPoly``) is its one-pair form, and
-  ``ratfunc_product_sum`` runs it on RatFunc numerators grouped by
-  denominator (``RatFunc *`` is its one-item form).  Other modules call
-  these instead of building tuples or accumulate loops themselves.
-* Packed monomials.  ``MultiPoly`` and ``ExpPoly`` (the ``PackedKeys``
-  classes) store each monomial as one int: with k variables and fields of
-  W = 32 bits, t1^e1...tk^ek is ``deg << k*W | e1 << (k-1)*W | ... | ek``,
-  deg = e1 + ... + ek (after Monagan & Pearce, CASC 2007).  Int order is
-  graded-lex order, a monomial product is one int add, and t_v^e is
-  ``e * unit`` for the packed t_v.  Every stored total degree stays below
-  2^(W-1) = 2^31, the exponent limit: packing a tuple or multiplying past
-  it raises ValueError, so a sum of two keys never carries from one field
-  into the next and the top bit of each field is free as a borrow guard
-  for divisibility tests.  ``DiffOp`` keeps plain tuple keys.  The packed
-  form is private: the ``terms`` map of a ``PackedKeys`` value holds packed
-  ints, while the constructors, ``leading_term()``, ``sorted_terms()``,
-  ``degree_in``, evaluation and printing take and give tuples.
+  polynomial products, builds a sum of products in one ``MultiPoly`` term
+  map (``MultiPoly *`` is its one-pair form), and ``ratfunc_product_sum``
+  runs it on RatFunc numerators grouped by denominator (``RatFunc *`` is
+  its one-item form).  Other modules call these instead of building tuples
+  or accumulate loops themselves.
+* Packed monomials.  ``MultiPoly`` alone stores each monomial as one int:
+  with k variables and fields of W = 32 bits, t1^e1...tk^ek is
+  ``deg << k*W | e1 << (k-1)*W | ... | ek``, deg = e1 + ... + ek (after
+  Monagan & Pearce, CASC 2007).  Int order is graded-lex order, a monomial
+  product is one int add, and t_v^e is ``e * unit`` for the packed t_v.
+  Every stored total degree stays below 2^(W-1) = 2^31, the exponent limit:
+  packing a tuple or multiplying past it raises ValueError, so a sum of two
+  keys never carries from one field into the next and the top bit of each
+  field is free as a borrow guard for divisibility tests.  ``DiffOp`` and
+  ``ExpPoly`` keep plain tuple keys, with no limit.  The packed form is
+  private: the ``terms`` map of a ``MultiPoly`` holds packed ints, while
+  the constructors, ``leading_term()``, ``sorted_terms()``, ``degree_in``,
+  evaluation and printing take and give tuples.
 * ``MultiPoly`` maps monomials to nonzero exact rational coefficients; the
   zero polynomial has an empty term map.  Integral coefficients are stored
   as plain int (hash- and equality-compatible with Fraction, and much
@@ -110,13 +110,15 @@ def mono_str(mono: Monomial, letter: str) -> str:
 
 def add_terms(out: dict, items: Iterable) -> dict:
     """Add (index, coefficient) pairs into the term map `out` in place,
-    dropping entries whose sum is zero; returns `out`.  Works for any
-    coefficient type whose truth value means "nonzero" (rationals and
-    RatFunc alike)."""
+    dropping entries whose sum is zero and storing an integral sum of
+    Fractions as int; returns `out`.  Works for any coefficient type whose
+    truth value means "nonzero" (rationals and RatFunc alike)."""
     for key, c in items:
         s = out.get(key)
         if s is not None:
             c = s + c
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
         if c:
             out[key] = c
         else:
@@ -175,14 +177,6 @@ def _guard(k: int) -> int:
     return ((1 << k * _W) - 1) // _FIELD << (_W - 1)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 # Coefficients are stored as plain int whenever they are integral and as
 # Fraction otherwise; the two interoperate exactly (ints satisfy the
 # Rational protocol and hash consistently with Fraction), and integer
@@ -219,18 +213,16 @@ def _power(base, n: int, one):
     return result
 
 
-def product_sum(k: int, items: Iterable):
-    """The sum of c * p * q over (c, p, q) items, c rational and p, q of one
-    ``PackedKeys`` class over k variables, as a value of that class built in
-    one term map (Johnson, SIGSAM Bulletin 1974).  A zero sum is deleted on
-    the spot and integral rationals are stored as int."""
-    cls = MultiPoly
+def product_sum(k: int, items: Iterable) -> "MultiPoly":
+    """The sum of c * p * q over (c, p, q) items, c rational and p, q
+    MultiPoly over k variables, built in one packed term map (Johnson,
+    SIGSAM Bulletin 1974).  A zero sum is deleted on the spot and integral
+    rationals are stored as int."""
     out: dict = {}
     get = out.get
     for c, p, q in items:
         check_k(k, p.k)
         check_k(k, q.k)
-        cls = type(p)
         if not c:
             continue
         a, b = p.terms, q.terms
@@ -250,21 +242,9 @@ def product_sum(k: int, items: Iterable):
     if out and max(out) >> k * _W >= _LIMIT:
         raise _degree_limit(max(out) >> k * _W)
     # a sum of ints is an int, so one sum tells whether a Fraction is present
-    if cls is MultiPoly and type(sum(out.values())) is not int:
+    if type(sum(out.values())) is not int:
         out = {mono: _as_coeff(s) for mono, s in out.items()}
-    return cls._raw(k, out)
-
-
-def sparse_product(self, other):
-    """``__mul__``/``__rmul__`` of a ``PackedKeys`` class: the sparse product
-    with a value of the same class, the one-pair ``product_sum``, and
-    ``scale`` by one of the class's ``_scalars``.  The same class is tested
-    first: ``_scalars`` holds ``Fraction``, an ABC-checked ``isinstance``."""
-    if type(other) is type(self):
-        return product_sum(self.k, ((1, self, other),))
-    if isinstance(other, self._scalars):
-        return self.scale(other)
-    return NotImplemented
+    return MultiPoly._raw(k, out)
 
 
 class TermMap:
@@ -273,8 +253,8 @@ class TermMap:
     hashing and evaluation.  A subclass coerces coefficients through
     ``_coeff(k, c)``, stores a checked exponent tuple as the key
     ``_key(k, mono)`` and reads it back with ``_mono(k, key)`` (the tuple
-    itself here, a packed int in ``PackedKeys``), and names its index in
-    error messages through ``_index_word``.  Values of two unrelated
+    itself here, a packed int in ``MultiPoly`` alone), and names its index
+    in error messages through ``_index_word``.  Values of two unrelated
     subclasses never add or compare equal; when one class derives from the
     other (a ``Derivation`` is a ``DiffOp``) they mix as values of the more
     general class, which a sum or difference takes."""
@@ -397,22 +377,15 @@ class TermMap:
         return total
 
 
-class PackedKeys:
-    """Mixin for a term-map class whose ``*`` is ``sparse_product``: its keys
-    are packed monomials (see the module docstring)."""
-
-    __slots__ = ()
-
-    _key = staticmethod(_pack)
-    _mono = staticmethod(_unpack)
-
-
-class MultiPoly(PackedKeys, TermMap):
-    """Sparse polynomial in k variables with rational coefficients."""
+class MultiPoly(TermMap):
+    """Sparse polynomial in k variables with rational coefficients, keyed by
+    packed monomials (see the module docstring)."""
 
     __slots__ = ()
 
     _index_word = "monomial"
+    _key = staticmethod(_pack)
+    _mono = staticmethod(_unpack)
 
     @staticmethod
     def _coeff(k: int, c):
@@ -483,8 +456,14 @@ class MultiPoly(PackedKeys, TermMap):
     def __rsub__(self, other):
         return (-self) + other
 
-    _scalars = (int, Fraction)
-    __mul__ = __rmul__ = sparse_product
+    def __mul__(self, other):
+        if type(other) is MultiPoly:
+            return product_sum(self.k, ((1, self, other),))
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
         c = _as_coeff(c)
@@ -515,7 +494,7 @@ class MultiPoly(PackedKeys, TermMap):
         return MultiPoly._raw(self.k, out)
 
     def __call__(self, point: Sequence) -> Fraction:
-        return self._at([_as_fraction(v) for v in point], Fraction(0))
+        return self._at([_as_coeff(v) for v in point], Fraction(0))
 
     # -- division ----------------------------------------------------------
 
@@ -1022,9 +1001,7 @@ class RatFunc:
     # -- comparison, hashing, printing ---------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.den.is_constant and self.num == other
-        if isinstance(other, MultiPoly):
+        if isinstance(other, (int, Fraction, MultiPoly)):
             return self.den.is_constant and self.num == other
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -1116,9 +1093,9 @@ def ratfunc_product_sum(k: int, items: Iterable) -> RatFunc:
 
 
 class RatFuncTerms(TermMap):
-    """Term map with coefficients in Q(t1..tk), the core of ``DiffOp`` and
-    ``ExpPoly``.  Subclasses give the meaning of the index and print a term
-    through ``_term_str``."""
+    """Term map from exponent tuples to coefficients in Q(t1..tk), the core
+    of ``DiffOp`` and ``ExpPoly``.  Subclasses give the meaning of the index
+    and print a term through ``_term_str``."""
 
     __slots__ = ()
 
@@ -1126,10 +1103,7 @@ class RatFuncTerms(TermMap):
 
     def sorted_terms(self) -> list[tuple[Monomial, RatFunc]]:
         """Terms in ascending graded-lex order of the index."""
-        return sorted(
-            ((self._mono(self.k, a), c) for a, c in self.terms.items()),
-            key=lambda kv: grlex_key(kv[0]),
-        )
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def scale(self, c):
         c = as_ratfunc(self.k, c)

@@ -28,18 +28,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
+from operator import add
 from typing import Callable, Sequence
 
 from .exactnum import (
     DimensionMismatchError,
     Monomial,
-    PackedKeys,
     RatFunc,
     RatFuncTerms,
+    add_terms,
     check_k,
     mono_str,
     monomial_lcm_sum,
-    sparse_product,
     unit_index,
     zero_index,
 )
@@ -50,9 +50,9 @@ from .leibniz import CheckResult, _Memo, _scan
 SemigroupMap = Callable[[RatFunc], RatFunc]
 
 
-class ExpPoly(PackedKeys, RatFuncTerms):
+class ExpPoly(RatFuncTerms):
     """Polynomial in the integer exponent variables i1..ik with coefficients
-    in Q(t1..tk)."""
+    in Q(t1..tk), keyed by exponent tuples like ``DiffOp``."""
 
     __slots__ = ()
 
@@ -66,8 +66,20 @@ class ExpPoly(PackedKeys, RatFuncTerms):
         k = len(coeffs)
         return cls(k, {unit_index(k, j): c for j, c in enumerate(coeffs)})
 
-    _scalars = (int, Fraction, RatFunc)
-    __mul__ = __rmul__ = sparse_product
+    def __mul__(self, other):
+        if type(other) is ExpPoly:
+            check_k(self.k, other.k)
+            products = (
+                (tuple(map(add, a, b)), ca * cb)
+                for a, ca in self.terms.items()
+                for b, cb in other.terms.items()
+            )
+            return ExpPoly._raw(self.k, add_terms({}, products))
+        if isinstance(other, (int, Fraction, RatFunc)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __call__(self, exponents: Sequence[int]) -> RatFunc:
         """Exact value at an integer exponent vector."""
@@ -239,7 +251,7 @@ def exponent_polynomial(E: DiffOp) -> ExpPoly:
             total = part if total is None else total + part
         if total:
             out[e] = total
-    return ExpPoly(k, out)
+    return ExpPoly._raw(k, out)
 
 
 def expoly_degree(p: ExpPoly) -> int:

@@ -415,8 +415,6 @@ def test_exponent_limit():
             a * b
     with pytest.raises(ValueError, match="exponent limit"):
         t() ** LIMIT
-    with pytest.raises(ValueError, match="exponent limit"):
-        ExpPoly(1, {(LIMIT,): RatFunc.one(1)})
 
 
 def test_product_sum_is_the_sum_of_products():
@@ -464,6 +462,25 @@ def test_products_store_integral_coefficients_as_int():
     ):
         assert got.sorted_terms() == [((2,), lead), ((1,), 1)]
         assert type(got.sorted_terms()[1][1]) is int
+
+
+def test_integral_sums_are_stored_as_int():
+    # t1/2 + t1/2 = t1, also as the numerator of a RatFunc sum over one
+    # polynomial denominator
+    h = t().scale(Fraction(1, 2))
+    a = RatFunc(h, t() + 1)
+    for got in ((h + h).terms, (h - h.scale(3)).terms, (a + a).num.terms):
+        assert got and all(type(v) is int or v.denominator > 1 for v in got.values()), got
+    assert (h + h) == t() and (a + a).num == t()
+
+
+def test_expoly_keys_are_exponent_tuples():
+    x = RatFunc.variable(2, 0)
+    p = ExpPoly.linear([x, 1 / x]) * ExpPoly(2, {(2, 1): x})
+    assert p.terms == {(3, 1): x * x, (2, 2): RatFunc.one(2)}
+    assert 3 * p == p * 3 == p.scale(3) and p * (1 / x) == p.scale(1 / x)
+    with pytest.raises(TypeError):
+        p * t(2, 0)
 
 
 def test_expoly_product_runs_through_the_kernel_with_ratfunc_coefficients():

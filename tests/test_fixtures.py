@@ -19,7 +19,7 @@ from derivcalc.fixtures import (
     product_ring_demo,
     theorem2_demo,
 )
-from derivcalc.leibniz import _Memo, defect, nested_defect, order_upper_check
+from derivcalc.leibniz import _Memo, _defect_law, defect, nested_defect, order_upper_check
 
 x = GF2Poly.x()
 
@@ -216,6 +216,35 @@ def test_char2_composition_is_again_a_derivation():
         for u in GF2Poly.all_up_to_degree(2):
             for v in GF2Poly.all_up_to_degree(2):
                 assert comp(u * v) == comp(u) * v + comp(v) * u
+
+
+def test_char2_D_is_not_in_the_closure_of_the_operators():
+    # every derivation of F2[x] is p -> p' * h, and (x^2)' = 2x = 0: the
+    # values on x^2 of all compositions of j derivations with deg h < 6 are
+    # the images of those of j - 1, and each set is {0}.  So every O0
+    # operator kills x^2, while char2_D (order <= 2) sends it to 1: no
+    # operator of any degree matches char2_D on {x^2}, and Theorem 1 fails
+    derivations = [lambda p, h=h: p.formal_derivative() * h for h in GF2Poly.all_up_to_degree(5)]
+    assert len(derivations) == 64
+    values = {x**2}
+    for _ in range(3):
+        values = {d(v) for d in derivations for v in values}
+        assert values == {GF2Poly.zero()}
+    assert char2_D(x**2) == GF2Poly.one()
+    assert char2_order_check().defects2_vanish
+
+
+def test_char2_breaks_the_diagonal_law():
+    # f keeps the coefficient of x^3 and is additive.  Every square has only
+    # even powers, so the diagonal G_1(p) = B(p, p) = f(p^2) - 2p f(p) is 0;
+    # yet B(x, x^2) = f(x^3) = 1: polarization needs 2! to be invertible
+    one = GF2Poly.one()
+    f = lambda p: one if p.coeff(3) else GF2Poly.zero()
+    polys = list(GF2Poly.all_up_to_degree(8))[1:]
+    assert len(polys) == 511
+    assert all(nested_defect(f, p, (p,)).is_zero for p in polys)
+    law = _defect_law(_Memo(f), 1, list(GF2Poly.all_up_to_degree(3)))
+    assert not law.ok and law.witness == (x, x**2) and law.value == one
 
 
 # ---------------------------------------------------------------------------

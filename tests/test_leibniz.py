@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from random import Random
 
 import pytest
@@ -158,6 +158,35 @@ def test_nested_defect_is_symmetric_in_all_arguments(m):
         values = {nested_defect(D, z[0], z[1:]) for z in permutations(zs)}
         assert len(values) == 1
         assert not values.pop().is_zero
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for k in (1, 2) for m in range(4)])
+def test_polarization_recovers_the_nested_defect_from_its_diagonal(k, m):
+    # for an additive f the m-fold nested defect F is symmetric and additive
+    # in each argument, so with G(x) = F(x, ..., x) polarization gives
+    # (m+1)! * F(z0..zm) = sum over nonempty S of (-1)^(m+1-|S|) * G(sum_S z);
+    # plain callables take the black-box _Memo.nest route.  E has degree m
+    # and an identity part, so neither map has order <= m: F is nonzero on
+    # the data, which keeps the identity from holding as 0 = 0
+    rng = Random(1000 + 10 * k + m)
+    c0 = random_sparse_ratfunc(rng, k, max_degree=1) * RatFunc.variable(k, 0) + 1
+    E = random_diffop(rng, k, m) + DiffOp.identity(k, c0)
+    perturbed = E + random_diffop(rng, k, m + 1)
+    zs = [
+        random_sparse_ratfunc(rng, k, max_degree=2) * RatFunc.variable(k, i % k) + 1
+        for i in range(m + 1)
+    ]
+    zs[-1] = zs[-1] / (RatFunc.variable(k, 0) + 2)
+    for op in (E, perturbed):
+        memo = _Memo(lambda z, op=op: op(z))
+        lhs = math.factorial(m + 1) * nested_defect(memo, zs[0], zs[1:])
+        rhs = RatFunc.zero(k)
+        for size in range(1, m + 2):
+            for S in combinations(zs, size):
+                x = sum(S, RatFunc.zero(k))
+                g = nested_defect(memo, x, (x,) * m)
+                rhs = rhs + g if (m + 1 - size) % 2 == 0 else rhs - g
+        assert lhs == rhs and not lhs.is_zero, (op, zs)
 
 
 def test_defect_symmetry_and_biadditivity():
