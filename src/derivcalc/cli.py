@@ -189,6 +189,13 @@ class _Parser:
             value = value**tok.value
         return value
 
+    def signs(self) -> int:
+        """Read a run of minus signs and return their product, 1 or -1."""
+        sign = 1
+        while self.accept("MINUS"):
+            sign = -sign
+        return sign
+
     def atom(self) -> RatFunc:
         tok = self.peek()
         if tok.kind == "INT":
@@ -212,8 +219,8 @@ class _Parser:
             self.take("RPAREN")
             return value
         if tok.kind == "MINUS":
-            self.take("MINUS")
-            return -self.factor()
+            # a run of signs is one loop, not one nested factor per sign
+            return self.signs() * self.factor()
         raise ExprSyntaxError(f"expected an expression, found {tok.kind}", tok.pos)
 
     # -- operator literals -------------------------------------------------------
@@ -232,9 +239,7 @@ class _Parser:
         return tuple(indices)
 
     def opterm(self) -> tuple[tuple, RatFunc]:
-        sign = 1
-        while self.accept("MINUS"):
-            sign = -sign
+        sign = self.signs()
         if self.peek().kind == "DOP":
             coef = RatFunc.const(self.k, sign)
         else:
@@ -292,7 +297,10 @@ class _Parser:
 def _parse(text: str, k: int, rule, least_k: int = 1):
     """Read all of ``text`` over Q(t1..tk) with one ``_Parser`` method."""
     p = _Parser(text, k, least_k)
-    value = rule(p)
+    try:
+        value = rule(p)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None
     p.expect_end()
     return value
 
@@ -340,6 +348,8 @@ def _load_json_arg(raw: str):
         return json.loads(raw, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ExprSyntaxError(f"invalid JSON: {exc.msg}", exc.pos)
+    except RecursionError:
+        raise ExprSyntaxError("invalid JSON: nested too deeply") from None
 
 
 class _LongInt(str):

@@ -5,21 +5,22 @@ Representation choices:
 
 * Rationals are ``fractions.Fraction`` (always reduced, denominator >= 1).
 * A monomial (multi-index) is a tuple of k nonnegative integer exponents.
-  This module is the single owner of that format and of the term maps keyed
-  by it: ``zero_index``, ``unit_index``, ``mono_set`` and ``monomials_up_to``
+  ``zero_index``, ``unit_index``, ``mono_set`` and ``monomials_up_to``
   build, edit and enumerate multi-indices, ``mono_str`` prints one,
   ``add_terms`` accumulates (index, coefficient) pairs into a term map,
-  drops zero sums and keeps integral ones int, ``check_k`` and ``as_ratfunc`` guard and coerce
-  operands.  ``TermMap`` is
-  the one owner of the term-map class code (validation, immutability,
-  linear structure, equality, hashing and evaluation); ``MultiPoly`` and
-  ``RatFuncTerms`` (the core of ``DiffOp`` and ``ExpPoly``, coefficients in
-  Q(t1..tk)) subclass it.  ``product_sum``, the one accumulate loop of
-  polynomial products, builds a sum of products in one ``MultiPoly`` term
-  map (``MultiPoly *`` is its one-pair form), and ``ratfunc_product_sum``
-  runs it on RatFunc numerators grouped by denominator (``RatFunc *`` is
-  its one-item form).  Other modules call these instead of building tuples
-  or accumulate loops themselves.
+  drops zero sums and keeps integral ones int, ``check_k`` and
+  ``as_ratfunc`` guard and coerce operands.  Index arithmetic (the sum or
+  difference of two tuples) is plain tuple code where it is needed, as in
+  ``deriv.compose``, ``derived``, ``leibniz_sum`` and ``ExpPoly *``.
+  ``TermMap`` is the one owner of the term-map class code (validation,
+  immutability, linear structure, equality, hashing and evaluation);
+  ``MultiPoly`` and ``RatFuncTerms`` (the core of ``DiffOp`` and
+  ``ExpPoly``, coefficients in Q(t1..tk)) subclass it.  ``product_sum``,
+  the one accumulate loop of polynomial products, builds a sum of products
+  in one ``MultiPoly`` term map (``MultiPoly *`` is its one-pair form), and
+  ``ratfunc_product_sum`` runs it on RatFunc numerators grouped by
+  denominator (``RatFunc *`` is its one-item form).  Other modules call
+  these instead of writing accumulate loops of their own.
 * Packed monomials.  ``MultiPoly`` alone stores each monomial as one int:
   with k variables and fields of W = 32 bits, t1^e1...tk^ek is
   ``deg << k*W | e1 << (k-1)*W | ... | ek``, deg = e1 + ... + ek (after
@@ -490,7 +491,7 @@ class MultiPoly(TermMap):
         for m, c in self.terms.items():
             e = (m >> s) & _FIELD
             if e:
-                out[m - u] = c * e
+                out[m - u] = c * e if type(c) is int else _as_coeff(c * e)
         return MultiPoly._raw(self.k, out)
 
     def __call__(self, point: Sequence) -> Fraction:
@@ -596,10 +597,11 @@ class MultiPoly(TermMap):
 # Polynomial gcd over Q[t1..tk]
 # ---------------------------------------------------------------------------
 #
-# Strategy: recursive content/primitive-part reduction on the lowest variable
-# present, with the primitive parts handled by a subresultant polynomial
-# remainder sequence.  Monomial inputs take a fast path, and a heuristic
-# evaluation gcd is tried before the remainder sequence.
+# Strategy: zero, constant, equal and monomial inputs take direct paths; a
+# heuristic evaluation gcd comes next, and the fallback is the primitive
+# polynomial remainder sequence in the lowest variable present (Knuth, TAOCP
+# vol. 2, 4.6.1): split off each side's content in that variable, then take
+# pseudo-remainders and divide each one by its own content.
 
 
 def _vars_present(p: MultiPoly) -> set[int]:
@@ -620,30 +622,25 @@ def _coeffs_wrt(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
     return {e: MultiPoly._raw(p.k, t) for e, t in slices.items()}
 
 
-def _lead_wrt(p: MultiPoly, v: int) -> MultiPoly:
-    return _coeffs_wrt(p, v)[p.degree_in(v)]
-
-
 def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to variable v:
-    lead(b)^(deg a - deg b + 1) * a modulo b."""
+    """A pseudo-remainder of a by b with respect to variable v: the r of
+    degree in v below b's with lead(b)^e * a = q * b + r, where e is the
+    number of reduction steps taken."""
     db = b.degree_in(v)
-    lcb = _lead_wrt(b, v)
-    r = a
-    n = a.degree_in(v) - db + 1
+    lcb = _coeffs_wrt(b, v)[db]
     u = _unit(a.k, v)
-    while not r.is_zero and r.degree_in(v) >= db:
-        shifted = _lead_wrt(r, v) * MultiPoly._raw(a.k, {(r.degree_in(v) - db) * u: 1})
+    r = a
+    while r and (dr := r.degree_in(v)) >= db:
+        shifted = _coeffs_wrt(r, v)[dr] * MultiPoly._raw(a.k, {(dr - db) * u: 1})
         r = product_sum(a.k, ((1, r, lcb), (-1, shifted, b)))
-        n -= 1
-    if n > 0:
-        r = r * lcb**n
     return r
 
 
 def _content_wrt(p: MultiPoly, v: int) -> MultiPoly:
+    """The gcd of p's coefficients in variable v, smallest ones first: the
+    gcd of a small one is cheap and often 1 at once."""
     g = MultiPoly.zero(p.k)
-    for coef in _coeffs_wrt(p, v).values():
+    for coef in sorted(_coeffs_wrt(p, v).values(), key=lambda c: len(c.terms)):
         g = poly_gcd(g, coef)
         if g.is_constant and not g.is_zero:
             break
@@ -699,8 +696,9 @@ def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     reconstruction, and verification by exact division.
 
     Inputs must be nonzero with integer coefficients; the result includes
-    the integer content gcd.  Returns None when six attempts fail (callers
-    fall back to the remainder-sequence route)."""
+    the integer content gcd.  Returns None when six attempts fail, and
+    ``poly_gcd`` falls back to the primitive remainder sequence
+    (``_prs_gcd``)."""
     ca, cb = _int_content(a), _int_content(b)
     c = math.gcd(ca, cb)
     if ca != 1:
@@ -723,30 +721,6 @@ def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
                     return cand if c == 1 else cand.scale(c)
         xi = xi * 73794 // 27011 + 5
     return None
-
-
-def _subresultant_gcd(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
-    """Gcd of two polynomials that are primitive with respect to v, via the
-    subresultant remainder sequence in v.  Result is primitive in v."""
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    one = MultiPoly.const(a.k, 1)
-    g = h = one
-    while True:
-        delta = a.degree_in(v) - b.degree_in(v)
-        r = _prem(a, b, v)
-        if r.is_zero:
-            break
-        if r.degree_in(v) == 0:
-            # nonzero constant in v: primitive inputs share no v-dependent factor
-            return one
-        a, b = b, r.exact_div(g * h**delta)
-        g = _lead_wrt(a, v)
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-    return b.exact_div(_content_wrt(b, v))
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -797,20 +771,23 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Remainder-sequence gcd route: content/primitive-part recursion on the
-    lowest variable present, subresultant sequence on the primitive parts.
-    Inputs must be nonzero, non-constant, non-monomial."""
+    """Remainder-sequence gcd route: the gcd of the contents in the lowest
+    variable v present, times the gcd of the primitive parts by the primitive
+    remainder sequence in v.  A remainder of degree 0 in v leaves the
+    primitive parts coprime; a zero one leaves the last divisor as their gcd.
+    Below b's degree in v, a is its own first remainder, so the loop swaps
+    the sides itself.  Inputs must be nonzero, non-constant, non-monomial."""
     v = min(_vars_present(a) | _vars_present(b))
-    da, db = a.degree_in(v), b.degree_in(v)
-    if db == 0:
-        return poly_gcd(_content_wrt(a, v), b)
-    if da == 0:
-        return poly_gcd(a, _content_wrt(b, v))
     ca, cb = _content_wrt(a, v), _content_wrt(b, v)
-    pa, pb = a.exact_div(ca), b.exact_div(cb)
     cg = poly_gcd(ca, cb)
-    pg = _subresultant_gcd(pa, pb, v)
-    return (cg * pg).primitive()
+    a, b = a.exact_div(ca), b.exact_div(cb)
+    while True:
+        r = _prem(a, b, v)
+        if not r:
+            return (cg * b).primitive()
+        if not r.degree_in(v):
+            return cg
+        a, b = b, r.exact_div(_content_wrt(r, v)).primitive()
 
 
 # ---------------------------------------------------------------------------

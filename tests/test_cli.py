@@ -294,6 +294,28 @@ def test_cli_grid_from_file(capsys, tmp_path):
     assert "operator: d[2]" in out
 
 
+def test_cli_reads_a_long_run_of_minus_signs(capsys):
+    # one loop reads the signs: 5,000 of them nest no call
+    for signs, result in ((5000, "2*t1"), (5001, "-2*t1")):
+        expr = "-" * signs + "t1^2"
+        code, out, err = run_cli(capsys, "apply", "--k", "1", "--op", "d[1]", f"--expr={expr}")
+        assert (code, out, err) == (0, f"result: {result}\n", "")
+
+
+def test_cli_deeply_nested_parentheses_are_a_parse_error(capsys):
+    expr = "(" * 3000 + "t1" + ")" * 3000
+    code, out, err = run_cli(capsys, "apply", "--k", "1", "--op", "d[1]", "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "nested too deeply" in err
+
+
+def test_cli_deeply_nested_json_is_a_parse_error(capsys):
+    table = "[" * 3000 + "]" * 3000
+    code, out, err = run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", table)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "nested too deeply" in err
+
+
 def test_cli_bad_json_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fit", "--k", "1", "--n", "1", "--table", "{oops")
     assert code == 2

@@ -23,7 +23,7 @@ from derivcalc.exactnum import (
     ratfunc_product_sum,
 )
 from derivcalc.genpoly import ExpPoly
-from derivcalc.sampling import random_ratfunc
+from derivcalc.sampling import random_ratfunc, random_sparse_poly
 
 
 def t(k=1, i=0):
@@ -211,6 +211,55 @@ def test_univariate_euclid_route_agrees():
     ]
     for a, b in rng_vals:
         assert _prs_gcd(a.primitive(), b.primitive()) == poly_gcd(a, b)
+
+
+def _prs_gcd_corpus():
+    """Seeded (kind, a, b, g) cases for the remainder-sequence route over
+    k = 1..3: a planted common factor g; a coprime pair (p, p*q + c), c a
+    nonzero integer; and a pair where one side lacks t1, the lowest
+    variable of the other, both ways round, with a common factor g free of
+    t1."""
+    rng = random.Random(2611)
+
+    def free_of_t1(k, degree, terms):
+        p = random_sparse_poly(rng, k - 1, degree, max_terms=terms)
+        return MultiPoly(k, {(0, *m): c for m, c in p.sorted_terms()})
+
+    for k in (1, 2, 3):
+        for _ in range(6):
+            g = random_sparse_poly(rng, k, 2, max_terms=3)
+            a = g * random_sparse_poly(rng, k, 3, max_terms=3)
+            yield "planted", a, g * random_sparse_poly(rng, k, 3, max_terms=3), g
+            p = random_sparse_poly(rng, k, 3, max_terms=3)
+            q = random_sparse_poly(rng, k, 2, max_terms=3)
+            yield "coprime", p, p * q + rng.choice((-2, -1, 1, 2)), None
+            if k > 1:
+                g = free_of_t1(k, 2, 2)
+                a = g * random_sparse_poly(rng, k, 3, max_terms=3)
+                b = g * free_of_t1(k, 3, 3)
+                yield "lacks t1", a, b, g
+                yield "lacks t1", b, a, g
+
+
+def test_remainder_gcd_agrees_on_planted_coprime_and_one_sided_pairs():
+    from derivcalc.exactnum import _prs_gcd
+
+    seen = set()
+    for kind, a, b, g in _prs_gcd_corpus():
+        if a.is_constant or b.is_constant or a.is_monomial or b.is_monomial or a == b:
+            continue  # poly_gcd answers these before any remainder sequence
+        got = _prs_gcd(a.primitive(), b.primitive())
+        assert got == poly_gcd(a, b), (kind, a, b)
+        if kind == "coprime":
+            assert got == 1, (a, b)
+        else:
+            assert g.primitive().divides(got), (kind, a, b, g)
+        v = next(i for i in range(a.k) if a.degree_in(i) > 0 or b.degree_in(i) > 0)
+        seen.add((kind, a.k, a.degree_in(v) == 0, b.degree_in(v) == 0))
+    assert {("planted", k, False, False) for k in (1, 2, 3)} <= seen
+    assert {("coprime", k, False, False) for k in (1, 2, 3)} <= seen
+    # the side free of the lowest variable present comes first and second
+    assert {("lacks t1", k, s, not s) for k in (2, 3) for s in (False, True)} <= seen
 
 
 def test_gcd_output_is_primitive_with_positive_lead():
@@ -472,6 +521,21 @@ def test_integral_sums_are_stored_as_int():
     for got in ((h + h).terms, (h - h.scale(3)).terms, (a + a).num.terms):
         assert got and all(type(v) is int or v.denominator > 1 for v in got.values()), got
     assert (h + h) == t() and (a + a).num == t()
+
+
+def test_integral_partials_are_stored_as_int():
+    # d/dt (t^2/2) = t: the coefficient is 1/2 * 2, also through RatFunc's
+    # constant-denominator path; t^3/2 keeps its Fraction 3/2
+    x, y = t(2, 0), t(2, 1)
+    p = (x**2 * y).scale(Fraction(1, 2)) + (x**3).scale(Fraction(1, 2)) + x * y
+    for got in (
+        (x**2).scale(Fraction(1, 2)).partial(0),
+        RatFunc((x**2).scale(Fraction(1, 2))).partial(0).num,
+        p.partial(0),
+        RatFunc(p).partial(0).num,
+    ):
+        assert got and all(type(v) is int or v.denominator > 1 for v in got.terms.values()), got
+    assert p.partial(0) == x * y + (x**2).scale(Fraction(3, 2)) + y
 
 
 def test_expoly_keys_are_exponent_tuples():
