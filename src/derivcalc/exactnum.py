@@ -626,13 +626,23 @@ def _prem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     """A pseudo-remainder of a by b with respect to variable v: the r of
     degree in v below b's with lead(b)^e * a = q * b + r, where e is the
     number of reduction steps taken."""
-    db = b.degree_in(v)
+    k, db = a.k, b.degree_in(v)
     lcb = _coeffs_wrt(b, v)[db]
-    u = _unit(a.k, v)
+    s, down = _field(k, v), db * _unit(k, v)
     r = a
-    while r and (dr := r.degree_in(v)) >= db:
-        shifted = _coeffs_wrt(r, v)[dr] * MultiPoly._raw(a.k, {(dr - db) * u: 1})
-        r = product_sum(a.k, ((1, r, lcb), (-1, shifted, b)))
+    while r:
+        # deg_v r and lead_v(r) * v^(dr - db) in one pass over r: the top
+        # slice's keys lowered by db in v (those kept only when dr >= db)
+        dr, top = -1, {}
+        for mono, coef in r.terms.items():
+            e = (mono >> s) & _FIELD
+            if e > dr:
+                dr, top = e, {}
+            if e == dr:
+                top[mono - down] = coef
+        if dr < db:
+            break
+        r = product_sum(k, ((1, r, lcb), (-1, MultiPoly._raw(k, top), b)))
     return r
 
 
@@ -773,14 +783,17 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Remainder-sequence gcd route: the gcd of the contents in the lowest
     variable v present, times the gcd of the primitive parts by the primitive
-    remainder sequence in v.  A remainder of degree 0 in v leaves the
-    primitive parts coprime; a zero one leaves the last divisor as their gcd.
+    remainder sequence in v.  A primitive part free of v is a constant, and
+    a remainder of degree 0 in v leaves the primitive parts coprime; a zero
+    remainder leaves the last divisor as their gcd.
     Below b's degree in v, a is its own first remainder, so the loop swaps
     the sides itself.  Inputs must be nonzero, non-constant, non-monomial."""
     v = min(_vars_present(a) | _vars_present(b))
     ca, cb = _content_wrt(a, v), _content_wrt(b, v)
     cg = poly_gcd(ca, cb)
     a, b = a.exact_div(ca), b.exact_div(cb)
+    if not (a.degree_in(v) and b.degree_in(v)):
+        return cg  # a primitive part free of v is a constant
     while True:
         r = _prem(a, b, v)
         if not r:

@@ -1,6 +1,9 @@
 """Executable counterexamples and demos at desk scale.
 
-Three stories, each checked exhaustively or proved by construction:
+Three stories, each checked on finite data or proved by construction.  The
+characteristic-2 checks hold on every input of bounded degree, and they
+are answered on the monomial basis where additivity in each argument makes
+that verdict the same as a scan over all inputs:
 
 * Over F2[x] the map sending x^i to binom(i,2) x^(i-2) is additive and has
   every 2-fold product-rule defect zero, yet it is not a derivation - and
@@ -64,25 +67,69 @@ class Char2OrderReport:
         return self.additive_ok and self.defects2_vanish
 
 
+def _multi_additive(D: Callable[[GF2Poly], GF2Poly], max_degree: int) -> bool:
+    """The premise of the basis route in ``char2_order_check``: D(0) = 0
+    and D(q p) = sum_i p_i D(q x^i) for every p of degree <= max_degree and
+    every q that is a product of two such inputs (1 among them).  The
+    products q p are built by XOR-ing shifted copies of q, so D is
+    evaluated once at each product of at most three inputs and nowhere
+    else."""
+    n = max_degree + 1
+    # products[q][p] = q * p, the index p being the bit mask of p
+    products: dict[int, list[int]] = {}
+    for a in range(1 << n):
+        for q in _span([a << i for i in range(n)]):
+            if q not in products:
+                products[q] = _span([q << i for i in range(n)])
+    value = {w: D(GF2Poly(w)).bits for w in {w for qp in products.values() for w in qp}}
+    return all(
+        [value[w] for w in qp] == _span([value[qp[1 << i]] for i in range(n)])
+        for qp in products.values()
+    )
+
+
+def _span(gens: Sequence[int]) -> list[int]:
+    """The XOR of every subset of the bit masks gens, at the index whose
+    bit i is set when gens[i] is in the subset."""
+    out = [0]
+    for g in gens:
+        out += [w ^ g for w in out]
+    return out
+
+
 def char2_order_check(
     max_degree: int = 4, D: Callable[[GF2Poly], GF2Poly] | None = None
 ) -> Char2OrderReport:
-    """Exhaustive check over all F2[x] inputs of degree <= max_degree:
-    additivity of D, vanishing of all 2-fold nested defects, and a search
-    for a product-rule failure witnessing that D is not a derivation.
+    """Check over all F2[x] inputs of degree <= max_degree: additivity of
+    D, vanishing of all 2-fold nested defects, and a search for a
+    product-rule failure witnessing that D is not a derivation.
 
     The three are the law scans of ``order_upper_check`` (additivity, the
     2-fold and the 1-fold defect law) on one memo of D, each answered on
     its own; the witness is that of the ordered enumeration (``leibniz``).
+    The 2-fold defect is symmetric, and it is additive in each argument
+    once D(q p) = sum_i p_i D(q x^i) for every input p and every q that is
+    a product of two inputs (``_multi_additive``; q = 1 makes D additive):
+    its seven terms evaluate D at q p with q in {y1 y2, y1, y2, 1}.  Given
+    that premise, it vanishes on all inputs exactly when it vanishes on the
+    multisets of the basis x^0..x^max_degree, 20 of them at degree 3 in
+    place of 816.  Without the premise both laws scan every input.
     """
     # one memo for the whole check: every nested defect reuses the values
     D = _Memo(char2_D if D is None else D)
     elems = list(GF2Poly.all_up_to_degree(max_degree))
     defects1 = _defect_law(D, 1, elems)
+    if _multi_additive(D, max_degree):
+        additive_ok = True
+        basis = [GF2Poly.monomial(i) for i in range(max_degree + 1)]
+        defects2 = _defect_law(D, 2, basis)
+    else:
+        additive_ok = _additive_law(D, elems).ok
+        defects2 = _defect_law(D, 2, elems)
     return Char2OrderReport(
         max_degree=max_degree,
-        additive_ok=_additive_law(D, elems).ok,
-        defects2_vanish=_defect_law(D, 2, elems).ok,
+        additive_ok=additive_ok,
+        defects2_vanish=defects2.ok,
         d_of_x=D(GF2Poly.x()),
         d_of_x2=D(GF2Poly.x() ** 2),
         derivation_witness=None if defects1 else (*defects1.witness, defects1.value),
@@ -113,8 +160,11 @@ def char2_compose_check(
     The derivations are determined by their values on x; when omitted they
     default to d2(x) = x and d1(x) = a, which realizes d1(d2(x)) = a.  The
     check confirms that the composite agrees with p -> a * p' on every
-    polynomial of degree <= max_power, the powers x^m among them (so the
-    composite is again a derivation: second order collapses to first).
+    polynomial of degree <= max_power (so the composite is again a
+    derivation: second order collapses to first).  Both sides are
+    F2-linear by construction, a derivation p -> p' * h being one, so they
+    agree on that span exactly when they agree on its basis, the powers
+    x^0..x^max_power: max_power + 1 comparisons, with no premise.
     """
     if d1_image is None and d2_image is None:
         d2_image = GF2Poly.x()
@@ -130,7 +180,7 @@ def char2_compose_check(
     d2 = _gf2_derivation(d2_image)
     collapse_ok = all(
         d1(d2(p)) == p.formal_derivative() * a
-        for p in GF2Poly.all_up_to_degree(max_power)
+        for p in map(GF2Poly.monomial, range(max_power + 1))
     )
     return Char2ComposeReport(
         a=a,

@@ -233,6 +233,12 @@ def order_upper_check(
     module docstring).  ``checked`` counts the n-fold defect tuples
     evaluated: C(s + n, n + 1) for s samples when the check passes, and 0
     when an earlier law fails.
+
+    Over Q(t) a pass holds on more than the samples.  The n-fold defect is
+    symmetric, and it is additive in each argument once D is additive on
+    the Q-span of the products of samples at which it evaluates D.  Given
+    that additivity, which this check does not test, vanishing on the
+    multisets of the samples makes the defect vanish on all of their Q-span.
     """
     if n < 0:
         raise ValueError("order bound must be nonnegative")

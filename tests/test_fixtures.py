@@ -11,6 +11,7 @@ from derivcalc.deriv import Derivation
 from derivcalc.fixtures import (
     Char2OrderReport,
     PairPoly,
+    _multi_additive,
     char2_D,
     char2_compose_check,
     char2_order_check,
@@ -183,6 +184,57 @@ def test_order_upper_check_over_gf2_agrees_with_char2_order_check():
     assert len(seen) == 4
 
 
+class _Shifted:
+    """The bench's black-box shape: a fresh callable instance per check,
+    char2_D plus the derivation p -> b * p'."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def __call__(self, p):
+        return char2_D(p) + self.b * p.formal_derivative()
+
+
+def _char2_basis_corpus():
+    """(kind, D, max_degree) for d = 1..4, fewer maps at d = 4 where the
+    reference scans 32^3 triples: maps that pass the premise (char2_D,
+    derivations, the bench's shape), maps broken at one product a*b*c of
+    three inputs of degree d, and maps additive only below degree 3d - 1."""
+    rng = Random(2727)
+    one, zero = GF2Poly.one(), GF2Poly.zero()
+
+    def degree_d(d):
+        return GF2Poly(rng.randrange(1 << d, 1 << d + 1))
+
+    for d in (1, 2, 3, 4):
+        for _ in range(1 if d == 4 else 3):
+            b = GF2Poly(rng.randrange(1, 32))
+            yield "premise", char2_D, d
+            yield "premise", lambda p, b=b: b * p.formal_derivative(), d
+            yield "premise", _Shifted(b), d
+            pt = degree_d(d) * degree_d(d) * degree_d(d)
+            yield "one point", lambda p, pt=pt: char2_D(p) + (one if p == pt else zero), d
+            top = 3 * d - 1
+            yield "high degree", lambda p, t=top: char2_D(p) + (one if p.degree >= t else zero), d
+            yield "high degree", lambda p, t=top, b=b: char2_D(p) + (b * p * p if p.degree >= t else zero), d
+
+
+def test_char2_basis_route_matches_exhaustive_reference():
+    missed_by_basis = 0
+    for kind, D, max_degree in _char2_basis_corpus():
+        rep = char2_order_check(max_degree=max_degree, D=D)
+        assert rep == _char2_order_check_ordered(max_degree, D), (kind, max_degree)
+        # the premise holds exactly where it should, and it is needed: a
+        # one-point break off the monomials is invisible to the basis alone
+        assert _multi_additive(D, max_degree) == (kind == "premise"), (kind, max_degree)
+        if kind == "premise":
+            assert rep.additive_ok
+        basis = [GF2Poly.monomial(i) for i in range(max_degree + 1)]
+        if not rep.defects2_vanish and _defect_law(_Memo(D), 2, basis).ok:
+            missed_by_basis += 1
+    assert missed_by_basis
+
+
 def test_char2_compose_identity_values():
     # with a = 1: k even gives 0, k odd gives x^(k-1)
     rep = char2_compose_check(GF2Poly.one())
@@ -199,6 +251,17 @@ def test_char2_compose_all_small_generator_images():
         a = b2.formal_derivative() * b1
         rep = char2_compose_check(a, d1_image=b1, d2_image=b2)
         assert rep.ok
+
+
+def test_char2_compose_basis_matches_every_polynomial():
+    for b1, b2 in product(GF2Poly.all_up_to_degree(2), repeat=2):
+        a = b2.formal_derivative() * b1
+        for max_power in range(1, 9):
+            rep = char2_compose_check(a, d1_image=b1, d2_image=b2, max_power=max_power)
+            assert rep.collapse_ok == all(
+                (p.formal_derivative() * b2).formal_derivative() * b1 == p.formal_derivative() * a
+                for p in GF2Poly.all_up_to_degree(max_power)
+            )
 
 
 def test_char2_compose_rejects_inconsistent_a():
