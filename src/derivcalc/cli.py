@@ -54,17 +54,10 @@ from .exactnum import (
 from .deriv import Derivation, DiffOp, NotInO0Error, OpWord, compose, normalize
 from .sampling import DEFAULT_SEED, random_derivation, random_sparse_ratfunc
 
-
-def __getattr__(name):
-    # Each command imports the engine names it calls when it runs, so that a
-    # cold call loads only the modules its command needs.  Those names still
-    # read as attributes of this module (``cli.fit_operator``), resolved
-    # through the package's export table on every access and never stored.
-    from . import _EXPORTS
-
-    if _EXPORTS.get(name, "cli") == "cli":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
+# Other engine names are read through the package's export table, which loads
+# their module on first use; it also serves them as ``cli.<name>``.
+import derivcalc as dc
+from . import __getattr__  # noqa: F401
 
 
 class ExprSyntaxError(ValueError):
@@ -378,11 +371,9 @@ def _json_expr(value, where: str, k: int, least_k: int = 1) -> RatFunc:
     return _parse(str(value), k, _Parser.expr, least_k)
 
 
-def parse_table_json(raw: str, k: int) -> MapTable:
+def parse_table_json(raw: str, k: int) -> dc.MapTable:
     """MapTable JSON: an object mapping expression strings to expression
     strings or integers."""
-    from .leibniz import MapTable
-
     _check_least_k(k)  # an empty table parses no expression
     data = _load_json_arg(raw)
     if not isinstance(data, dict):
@@ -390,13 +381,11 @@ def parse_table_json(raw: str, k: int) -> MapTable:
     pairs = []
     for key, val in data.items():
         pairs.append((parse_expr(key, k), _json_expr(val, f"table value {key!r}", k)))
-    return MapTable.from_pairs(pairs, k)
+    return dc.MapTable.from_pairs(pairs, k)
 
 
-def parse_grid_json(raw: str) -> GridValues:
+def parse_grid_json(raw: str) -> dc.GridValues:
     """GridValues JSON: {"k": int, "n": int, "values": {"i1,...,ik": expr}}."""
-    from .reconstruct import GridValues
-
     data = _load_json_arg(raw)
     if not isinstance(data, dict) or not {"k", "n", "values"} <= set(data):
         raise ExprSyntaxError('grid JSON needs "k", "n" and "values"')
@@ -420,7 +409,7 @@ def parse_grid_json(raw: str) -> GridValues:
         spelled[idx] = key
         # its values are constants, so a grid may have k = 0
         values[idx] = _json_expr(val, f"grid value {key!r}", k, least_k=0)
-    return GridValues(k, n, values)
+    return dc.GridValues(k, n, values)
 
 
 def parse_exprs_json(raw: str, k: int) -> list[RatFunc]:
@@ -500,30 +489,24 @@ def _cmd_compose(args, seed):
 
 
 def _cmd_order(args, seed):
-    from .leibniz import order_exact
-
     op = _operator_from_args(args)
     line = "order: {} (zero map)" if op.is_zero else "order: {}"
-    return True, [("order", line, order_exact(op)), ("zero_map", None, op.is_zero)]
+    return True, [("order", line, dc.order_exact(op)), ("zero_map", None, op.is_zero)]
 
 
 def _cmd_defect(args, seed):
-    from .leibniz import nested_defect
-
     k = args.k
     op = _operator_from_args(args)
     x = parse_expr(args.x, k)
     ys = [parse_expr(y, k) for y in args.y]
-    value = nested_defect(op, x, ys)
+    value = dc.nested_defect(op, x, ys)
     return True, [("defect", "defect: {}", value), ("nesting", None, len(ys))]
 
 
 def _cmd_gpdeg(args, seed):
-    from .genpoly import gp_degree_check, over_identity
-
     k = args.k
     op = _operator_from_args(args)
-    f = over_identity(op)
+    f = dc.over_identity(op)
     rng = Random(seed)
     if args.increment:
         increments = [parse_expr(text, k) for text in args.increment]
@@ -533,7 +516,7 @@ def _cmd_gpdeg(args, seed):
         points = [parse_expr(text, k) for text in args.point]
     else:
         points = [random_sparse_ratfunc(rng, k, max_degree=2) for _ in range(2)]
-    res = gp_degree_check(f, args.n, increments, points)
+    res = dc.gp_degree_check(f, args.n, increments, points)
     record = [("pass", "pass: {}", res.ok), ("reason", "reason: {}", res.reason)]
     if not res.ok:
         gs, x = res.witness
@@ -546,9 +529,7 @@ def _cmd_gpdeg(args, seed):
 
 
 def _cmd_expoly(args, seed):
-    from .genpoly import exponent_polynomial
-
-    p = exponent_polynomial(_operator_from_args(args))
+    p = dc.exponent_polynomial(_operator_from_args(args))
     return True, [
         ("exponent_polynomial", "exponent polynomial: {}", p),
         ("degree", "degree: {}", p.degree),
@@ -556,12 +537,10 @@ def _cmd_expoly(args, seed):
 
 
 def _cmd_reconstruct(args, seed):
-    from .reconstruct import DegreeOverflowError, reconstruct_operator
-
     grid = parse_grid_json(args.grid)
     try:
-        return _operator_out(reconstruct_operator(grid))
-    except DegreeOverflowError as exc:
+        return _operator_out(dc.reconstruct_operator(grid))
+    except dc.DegreeOverflowError as exc:
         offending = [",".join(map(str, j)) for j in exc.offending]
         return False, [
             ("degree_overflow", "degree overflow: data inconsistent with the bound", True),
@@ -571,10 +550,8 @@ def _cmd_reconstruct(args, seed):
 
 
 def _cmd_fit(args, seed):
-    from .reconstruct import fit_operator
-
     table = parse_table_json(args.table, args.k)
-    res = fit_operator(table, args.n, require_o0=args.require_o0)
+    res = dc.fit_operator(table, args.n, require_o0=args.require_o0)
     if not res.ok:
         return False, [
             ("infeasible", "infeasible", True),
@@ -587,12 +564,10 @@ def _cmd_fit(args, seed):
 
 
 def _cmd_recurrence(args, seed):
-    from .reconstruct import RecurrenceSpec, check_recurrence
-
     k = args.k
     coeffs = parse_exprs_json(args.coeffs, k)
     seq = parse_exprs_json(args.seq, k)
-    res = check_recurrence(RecurrenceSpec(tuple(coeffs), tuple(seq)))
+    res = dc.check_recurrence(dc.RecurrenceSpec(tuple(coeffs), tuple(seq)))
     return res.ok, [
         ("pass", "pass: {}", res.ok),
         ("first_failure", None if res.ok else "first failure at index: {}", res.first_failure),
@@ -600,11 +575,9 @@ def _cmd_recurrence(args, seed):
 
 
 def _cmd_demo(args, seed):
-    from .fixtures import char2_compose_check, char2_order_check, product_ring_demo, theorem2_demo
-
     if args.which == "char2":
-        rep = char2_order_check()
-        comp = char2_compose_check(GF2Poly.one())
+        rep = dc.char2_order_check()
+        comp = dc.char2_compose_check(GF2Poly.one())
         wx, wy, wb = rep.derivation_witness
         return rep.ok and comp.ok, [
             ("d_of_x", "D(x) = {}", rep.d_of_x),
@@ -623,7 +596,7 @@ def _cmd_demo(args, seed):
             ("compose_collapse", "composition of two derivations stays first order: {}", comp.ok),
         ]
     if args.which == "product-ring":
-        rep = product_ring_demo()
+        rep = dc.product_ring_demo()
         return rep.ok, [
             ("leibniz", "component derivations satisfy the product rule: {}", rep.leibniz_ok),
             (
@@ -641,7 +614,7 @@ def _cmd_demo(args, seed):
     else:
         rng = Random(seed)
         derivations = [random_derivation(rng, args.k) for _ in range(args.n)]
-    rep = theorem2_demo(derivations)
+    rep = dc.theorem2_demo(derivations)
     n = rep.n
     x, ys, value = rep.witness
     return rep.ok, [

@@ -246,21 +246,23 @@ def derived(E: DiffOp, beta: Monomial, identity: bool = True) -> DiffOp:
     return DiffOp._raw(E.k, out)
 
 
-def leibniz_sum(
-    E: DiffOp, x: RatFunc, ys: Sequence[RatFunc], top: int, identity: bool = True
-) -> RatFunc:
+def leibniz_sum(E: DiffOp, x: RatFunc, ys: Sequence[RatFunc], identity: bool = True) -> RatFunc:
     """sum of E^(s)(x) * prod_i d^(b_i) y_i / b_i! over the ordered tuples
-    (b_1..b_m) of nonzero multi-indices with s = b_1+...+b_m and |s| <= top.
+    (b_1..b_m) of nonzero multi-indices with s = b_1+...+b_m and |s| <= top,
+    where top is deg E, or deg E - 1 with identity=False: E^(s) for
+    |s| = deg E is then the left-out identity term, and zero.
 
     E^(s) is zero unless s lies below the support of E, so only those s are
     enumerated.  The tuples are folded by their partial sums one y at a
     time, so each E^(s)(x) is one evaluation whatever the number of tuples
-    summing to s.  Every b_i has |b_i| >= 1, so with m > top there is no
-    tuple: the sum is zero and costs no arithmetic."""
+    summing to s, and a weight 1/b! is formed only where d^b y is nonzero.
+    Every b_i has |b_i| >= 1, so with m > top there is no tuple: the sum is
+    zero and costs no arithmetic."""
     k = E.k
     for z in (x, *ys):
         check_k(k, z.k)
     m = len(ys)
+    top = E.degree if identity else E.degree - 1
     if m > top:
         return RatFunc.zero(k)
     below = {
@@ -274,11 +276,9 @@ def leibniz_sum(
     for i, y in enumerate(ys):
         room = top - (m - 1 - i)  # each later factor takes at least 1
         tower = {zero_index(k): y}
-        taylor = [
-            (b, Fraction(1, prod(map(factorial, b))), _materialize_partial(tower, b))
-            for b in steps
-            if sum(b) <= room - i
-        ]
+        # grlex order, kept for the break below
+        derivs = ((b, _materialize_partial(tower, b)) for b in steps if sum(b) <= room - i)
+        taylor = [(b, Fraction(1, prod(map(factorial, b))), d) for b, d in derivs if d]
         out: dict = {}
         for s, w in weights.items():
             for b, inv, d in taylor:

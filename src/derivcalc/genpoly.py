@@ -164,7 +164,7 @@ def gp_degree_check(
             return CheckResult(True, passed, checked=multisets * len(points))
 
         def difference(gs, x):
-            v = leibniz_sum(E, x, gs, E.degree)
+            v = leibniz_sum(E, x, gs)
             return v / prod(gs, start=x) if v else v
 
     else:

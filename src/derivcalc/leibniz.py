@@ -173,7 +173,7 @@ def nested_defect(D: PointMap, x: RatFunc, ys: Sequence[RatFunc]) -> RatFunc:
     ``_Memo`` to share levels across calls.
     """
     if isinstance(D, DiffOp):
-        value = leibniz_sum(D, x, ys, D.degree - 1, identity=False)
+        value = leibniz_sum(D, x, ys, identity=False)
         c0 = D.terms.get(zero_index(D.k))
         if c0:
             term = c0 * prod(ys, start=x)

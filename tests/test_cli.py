@@ -747,6 +747,16 @@ def test_exported_names_are_read_again_after_a_patch_is_undone(monkeypatch):
         assert name not in vars(derivcalc) and name not in vars(cli)
 
 
+def test_commands_read_engine_names_through_the_export_table(capsys, monkeypatch):
+    # the export table is the one map from a name to its module: point a
+    # name elsewhere and the command calls what it finds there
+    from derivcalc import fixtures
+
+    monkeypatch.setattr(fixtures, "order_exact", lambda op: 41, raising=False)
+    monkeypatch.setitem(derivcalc._EXPORTS, "order_exact", "fixtures")
+    assert run_cli(capsys, "order", "--k", "1", "--op", "d[2]") == (0, "order: 41\n", "")
+
+
 def test_not_in_o0_error_is_one_class():
     from derivcalc import deriv, leibniz
 

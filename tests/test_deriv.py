@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import derivcalc
-from derivcalc import exactnum
+from derivcalc import deriv, exactnum
 from derivcalc.exactnum import DimensionMismatchError, MultiPoly, RatFunc, add_terms
 from derivcalc.deriv import (
     Derivation,
@@ -404,3 +404,20 @@ def test_compose_takes_one_product_sum_per_coefficient(monkeypatch):
     C = compose(E1, E2)
     assert C.degree == E1.degree + E2.degree == 5
     assert calls == {"gcd": 0, "mul": 0, "add": 0, "product_sum": len(C.terms)}
+
+
+def test_leibniz_sum_weights_only_nonzero_derivatives(monkeypatch):
+    """d^b t vanishes for |b| >= 2, so d[1000] forms one Taylor weight per
+    factor t, not 999: a weight 1/b! is formed after d^b y, and only when
+    that derivative is nonzero."""
+    from derivcalc.genpoly import gp_degree_check, over_identity
+    from derivcalc.leibniz import nested_defect
+
+    calls = []
+    monkeypatch.setattr(deriv, "factorial", lambda e: calls.append(e) or factorial(e))
+    E = DiffOp(1, {(1000,): 1})
+    assert nested_defect(E, t, (t,)) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert gp_degree_check(over_identity(E), 1, [t], [t]).ok
+    assert len(calls) == 2
