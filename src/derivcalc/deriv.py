@@ -202,6 +202,9 @@ def compose(E1: DiffOp, E2: DiffOp) -> DiffOp:
     C(a, j) * (d^(a-j) b) * d^(beta+j), C(a, j) = prod_i C(a_i, j_i), so
     ``ratfunc_product_sum`` builds each coefficient of the result in one
     call, and the derivatives of each coefficient b of E2 share one chain.
+    A weight C(a, j) is formed only for a step whose d^(a-j) b is nonzero
+    for some b, and once: a high-order E1 costs no big-integer products
+    where every derivative it needs is zero.
 
     Over Q(t1..tk) the degree of a composition of nonzero operators is the
     sum of the degrees (top-order parts multiply in an integral domain).
@@ -209,15 +212,21 @@ def compose(E1: DiffOp, E2: DiffOp) -> DiffOp:
     check_k(E1.k, E2.k)
     k = E1.k
     steps = [
-        (c, j, tuple(map(sub, alpha, j)), prod(map(comb, alpha, j)))
+        (c, alpha, j, tuple(map(sub, alpha, j)))
         for alpha, c in E1.terms.items()
         for j in product(*(range(e + 1) for e in alpha))
     ]
+    binoms: list = [None] * len(steps)
     items: dict[Monomial, list] = {}
     for beta, b in E2.terms.items():
         chain = {zero_index(k): b}
-        for c, j, down, binom in steps:
+        for n, (c, alpha, j, down) in enumerate(steps):
             db = _materialize_partial(chain, down) if any(down) else b
+            if not db:
+                continue
+            binom = binoms[n]
+            if binom is None:
+                binom = binoms[n] = prod(map(comb, alpha, j))
             items.setdefault(tuple(map(add, beta, j)), []).append((binom, c, db))
     sums = ((gamma, ratfunc_product_sum(k, group)) for gamma, group in items.items())
     return DiffOp._raw(k, {gamma: s for gamma, s in sums if s})

@@ -284,17 +284,17 @@ class TermMap:
                 c = self._coeff(k, c)
                 if c:
                     clean[self._key(k, mono)] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_k(self, k)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     @classmethod
     def _raw(cls, k: int, terms: dict):
         """Internal constructor; `terms` must already be canonical and owned."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self = _new(cls)
+        _set_k(self, k)
+        _set_terms(self, terms)
+        _set_hash(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -357,7 +357,7 @@ class TermMap:
         h = self._hash
         if h is None:
             h = hash((self.k, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -376,6 +376,14 @@ class TermMap:
                     c = c * v**e
             total = total + c
         return total
+
+
+# Values are built through the slot descriptors' own setters, which skip the
+# refusing __setattr__ and the attribute lookup of object.__setattr__.
+_new = object.__new__
+_set_k = TermMap.k.__set__
+_set_terms = TermMap.terms.__set__
+_set_hash = TermMap._hash.__set__
 
 
 class MultiPoly(TermMap):
@@ -830,9 +838,9 @@ class RatFunc:
                     num = MultiPoly.const(g.k, 1) if g.terms == num.terms else num.exact_div(g)
                     den = MultiPoly.const(g.k, 1) if g.terms == den.terms else den.exact_div(g)
             num, den = _monic(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_ratfunc_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -840,10 +848,10 @@ class RatFunc:
     @classmethod
     def _raw(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
         """Internal constructor for pairs already in canonical form."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        self = _new(cls)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_ratfunc_hash(self, None)
         return self
 
     # -- constructors -----------------------------------------------------
@@ -1001,7 +1009,7 @@ class RatFunc:
         h = self._hash
         if h is None:
             h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set_ratfunc_hash(self, h)
         return h
 
     def __bool__(self):
@@ -1014,6 +1022,11 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc(k={self.k}, {str(self)!r})"
+
+
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+_set_ratfunc_hash = RatFunc._hash.__set__
 
 
 def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -1124,7 +1137,7 @@ class GF2Poly:
     def __init__(self, bits: int = 0):
         if bits < 0:
             raise ValueError("bit mask must be nonnegative")
-        object.__setattr__(self, "bits", bits)
+        _set_bits(self, bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("GF2Poly is immutable")
@@ -1233,6 +1246,6 @@ _set_bits = GF2Poly.bits.__set__
 
 def _gf2(bits: int) -> GF2Poly:
     """Internal GF2Poly constructor for a mask known to be nonnegative."""
-    p = object.__new__(GF2Poly)
+    p = _new(GF2Poly)
     _set_bits(p, bits)
     return p

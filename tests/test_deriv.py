@@ -406,6 +406,24 @@ def test_compose_takes_one_product_sum_per_coefficient(monkeypatch):
     assert calls == {"gcd": 0, "mul": 0, "add": 0, "product_sum": len(C.terms)}
 
 
+def test_compose_weights_only_nonzero_derivatives(monkeypatch):
+    """d^e t vanishes for e >= 2, so d[1000] after t*d[1] forms the weights
+    C(1000, 999) and C(1000, 1000) and no other; a weight shared by two
+    coefficients of E2 is formed once."""
+    from math import comb
+
+    calls = []
+    monkeypatch.setattr(deriv, "comb", lambda a, j: calls.append((a, j)) or comb(a, j))
+    E1 = DiffOp(1, {(1000,): 1})
+    got = compose(E1, DiffOp(1, {(1,): t}))
+    assert got == DiffOp(1, {(1000,): 1000, (1001,): t})
+    assert sorted(calls) == [(1000, 999), (1000, 1000)]
+    calls.clear()
+    got = compose(E1, DiffOp(1, {(1,): t, (2,): t**2}))
+    assert got == DiffOp(1, {(1000,): 1000 + 2 * comb(1000, 2), (1001,): 2001 * t, (1002,): t**2})
+    assert sorted(calls) == [(1000, 998), (1000, 999), (1000, 1000)]
+
+
 def test_leibniz_sum_weights_only_nonzero_derivatives(monkeypatch):
     """d^b t vanishes for |b| >= 2, so d[1000] forms one Taylor weight per
     factor t, not 999: a weight 1/b! is formed after d^b y, and only when

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivcalc import exactnum
-from derivcalc.deriv import Derivation, DiffOp
+from derivcalc.deriv import Derivation, DiffOp, compose
 from derivcalc.exactnum import (
     GF2Poly,
     InexactDivisionError,
@@ -327,6 +327,39 @@ def test_term_map_validation_and_immutability():
         assert {value, cls(2, {(1, 0): 2})} == {value}
         with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             value.k = 3
+
+
+def _checked_copy(value):
+    """The same value built by the checked constructor."""
+    if isinstance(value, RatFunc):
+        return RatFunc(_checked_copy(value.num), _checked_copy(value.den))
+    if isinstance(value, Derivation):
+        return Derivation(value.images)
+    return type(value)(value.k, dict(value.sorted_terms()))
+
+
+def test_operation_results_are_immutable_and_hash_as_checked_values():
+    """Values that operations build through the slot setters refuse
+    assignment and hash like the checked constructor's."""
+    p, q = t(2, 0) * t(2, 1) + t(2, 0).scale(Fraction(1, 2)), t(2, 1) ** 2 - 3
+    f, g = RatFunc(p, q), RatFunc(q, t(2, 0) + 1)
+    D, E = Derivation([f, g]), DiffOp(2, {(2, 0): g, (0, 0): 1})
+    X, Y = ExpPoly(2, {(1, 0): f, (0, 0): 2}), ExpPoly(2, {(0, 1): g})
+    results = [
+        *(p + q, p - q, p * q, p.partial(0)),
+        *(f + g, f - g, f * g, f.partial(1)),
+        *(D + E, D - E, D.scale(g), compose(D, E)),
+        *(X + Y, X - Y, X * Y),
+    ]
+    for value in results:
+        assert not value.is_zero
+        name = type(value).__name__
+        for attr in ("k", "terms", "num", "_hash"):
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(value, attr, None)
+        copy = _checked_copy(value)
+        assert type(copy) is type(value) and copy == value and hash(copy) == hash(value)
+        assert hash(value) == hash(value)  # the cached hash
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from derivcalc.deriv import Derivation
 from derivcalc.fixtures import (
     Char2OrderReport,
     PairPoly,
+    _composite_vanishes,
     _multi_additive,
     char2_D,
     char2_compose_check,
@@ -235,6 +236,20 @@ def test_char2_basis_route_matches_exhaustive_reference():
     assert missed_by_basis
 
 
+def test_multi_additive_evaluates_each_product_once_per_call():
+    """At degree 3 the premise evaluates D at the 264 products of at most
+    three inputs, each once, and does so afresh on every call."""
+    for _ in range(2):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return char2_D(p)
+
+        assert _multi_additive(counted, 3)
+        assert len(calls) == len(set(calls)) == 264
+
+
 def test_char2_compose_identity_values():
     # with a = 1: k even gives 0, k odd gives x^(k-1)
     rep = char2_compose_check(GF2Poly.one())
@@ -363,6 +378,38 @@ def test_order_upper_check_over_the_product_ring_is_the_rule_loop():
         got = order_upper_check(d, 1, samples)
         assert got.ok == _product_ring_rules_hold(d, samples) == (not reason)
         assert got.ok or got.reason == reason
+
+
+def _composite_vanishes_on_all_pairs(outer, inner, max_exponent):
+    """The all-pairs reference: outer(inner(.)) on every (x^i, x^j)."""
+    return all(
+        outer(inner(PairPoly(MultiPoly.monomial(1, (i,)), MultiPoly.monomial(1, (j,))))).is_zero
+        for i in range(max_exponent + 1)
+        for j in range(max_exponent + 1)
+    )
+
+
+def test_product_ring_basis_route_matches_all_pairs():
+    zero = MultiPoly.zero(1)
+
+    def second_to_first(p):
+        return PairPoly(p.second.partial(0), zero)
+
+    def first_to_second(p):
+        return PairPoly(zero, p.first.partial(0))
+
+    for m in range(9):
+        assert _composite_vanishes(pair_d1, pair_d2, m)
+        assert _composite_vanishes_on_all_pairs(pair_d1, pair_d2, m)
+        # d1 after (p -> (p.second', 0)) sends (x^i, x^j) to (j(j-1)x^(j-2), 0),
+        # and d2 after (p -> (0, p.first')) to (0, i(i-1)x^(i-2))
+        for outer, inner in ((pair_d1, second_to_first), (pair_d2, first_to_second)):
+            both = (
+                _composite_vanishes(outer, inner, m),
+                _composite_vanishes_on_all_pairs(outer, inner, m),
+            )
+            assert both == ((m < 2),) * 2, (m, outer)
+    assert product_ring_demo(0).composite_zero_ok
 
 
 def test_product_ring_demo_report():
